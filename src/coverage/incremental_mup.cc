@@ -1,10 +1,7 @@
 #include "src/coverage/incremental_mup.h"
 
-#include <algorithm>
-#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "src/obs/observability.h"
@@ -12,16 +9,6 @@
 
 namespace chameleon::coverage {
 namespace {
-
-/// FindMups' canonical output order: ascending level, then lexicographic
-/// pattern (mup_finder.cc keeps its own copy; the two must stay in sync
-/// for the differential oracle's exact-equality check).
-void SortMups(std::vector<Mup>* mups) {
-  std::sort(mups->begin(), mups->end(), [](const Mup& a, const Mup& b) {
-    if (a.Level() != b.Level()) return a.Level() < b.Level();
-    return a.pattern < b.pattern;
-  });
-}
 
 /// Amortized wall nanoseconds per inserted tuple. Wall time is inherently
 /// machine/load-dependent, so the metric is exempt from the determinism
@@ -133,9 +120,6 @@ util::Status IncrementalMupIndex::InsertBatch(
 
 void IncrementalMupIndex::PatchFrontier(
     const std::vector<std::vector<int>>& batch) {
-  const int d = schema_->num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-
   // 1. Patch: bump each live MUP by its number of matches. Counts stay
   // exact (the stored count was |D ∩ P| and the batch is now part of D),
   // so Mups() never has to re-query the counter.
@@ -152,69 +136,32 @@ void IncrementalMupIndex::PatchFrontier(
   }
   if (crossed.empty()) return;
 
-  // 2. Retire every MUP that crossed tau. Sorting first keeps the
-  // expansion order (and therefore any future journaling) independent of
-  // hash-map iteration order.
-  std::sort(crossed.begin(), crossed.end(),
-            [](const data::Pattern& a, const data::Pattern& b) {
-              if (a.Level() != b.Level()) return a.Level() < b.Level();
-              return a < b;
-            });
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> counts;
+  // 2. Retire every MUP that crossed tau. The traversal's results do not
+  // depend on seed order, so hash-map order is fine here.
+  CountCache counts;
   for (const data::Pattern& pattern : crossed) {
     counts.emplace(pattern, live_.at(pattern));
     live_.erase(pattern);
   }
   retired_total_ += static_cast<int64_t>(crossed.size());
 
-  auto count_of = [&](const data::Pattern& pattern) {
-    auto it = counts.find(pattern);
-    if (it != counts.end()) return it->second;
-    const int64_t count = counter_.Count(pattern);
-    counts.emplace(pattern, count);
-    return count;
-  };
-
   // 3. Expand only below the retired MUPs. Everything down there was
   // uncovered before this batch (count monotonicity), i.e. it is exactly
-  // the region the original BFS pruned; re-running FindMups' loop on it
-  // with fresh counts surfaces every newly-exposed MUP. Patterns whose
-  // uncovered→covered flip happened under a *different* ancestor are
-  // still reached: any flipped chain tops out at a retired MUP.
-  std::unordered_set<data::Pattern, data::PatternHash> visited(
-      crossed.begin(), crossed.end());
-  std::deque<data::Pattern> frontier(crossed.begin(), crossed.end());
-  while (!frontier.empty()) {
-    const data::Pattern pattern = frontier.front();
-    frontier.pop_front();
-
-    const int64_t count = count_of(pattern);
-    if (count >= options_.tau) {
-      // Covered: descend, exactly like FindMups (including the max_level
-      // cutoff, so a bounded index matches a bounded finder).
-      if (pattern.Level() >= max_level) continue;
-      for (auto& child : pattern.Children(*schema_)) {
-        if (visited.insert(child).second) {
-          frontier.push_back(std::move(child));
-        }
-      }
-      continue;
-    }
-
-    // Uncovered: a MUP iff every parent is covered. Parents outside the
-    // expansion region kept their old coverage status, so querying the
-    // counter directly is exact.
-    bool all_parents_covered = true;
-    for (const auto& parent : pattern.Parents()) {
-      if (count_of(parent) < options_.tau) {
-        all_parents_covered = false;
-        break;
-      }
-    }
-    if (all_parents_covered) {
-      live_.emplace(pattern, count);
-      ++discovered_total_;
-    }
+  // the region a full traversal prunes; re-running FindMups'
+  // traversal from the retired MUPs with fresh counts surfaces every
+  // newly-exposed MUP. Patterns whose uncovered→covered flip happened
+  // under a *different* ancestor are still reached: any flipped chain
+  // tops out at a retired MUP. Parents outside the region kept their old
+  // coverage status, so the traversal's on-demand counts are exact. A
+  // patch touches a handful of nodes, so it runs inline (no pool).
+  MupFinderOptions patch_options;
+  patch_options.tau = options_.tau;
+  patch_options.max_level = options_.max_level;
+  patch_options.num_threads = 1;
+  const MupFinder finder(*schema_, counter_);
+  for (Mup& mup : finder.Traverse(std::move(crossed), &counts, patch_options)) {
+    live_.emplace(std::move(mup.pattern), mup.count);
+    ++discovered_total_;
   }
 }
 

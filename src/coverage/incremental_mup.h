@@ -46,16 +46,16 @@ struct IncrementalMupOptions {
 ///   1. patches the stored counts of the live MUPs the tuple matches,
 ///   2. retires every MUP whose count crossed tau (it became covered, so
 ///      it is no longer maximal-uncovered), and
-///   3. expands only the sublattice below the retired MUPs — the one
-///      region the original BFS pruned away — discovering the new MUPs
-///      that the retirement exposed.
+///   3. runs FindMups' traversal (MupFinder::Traverse) from the retired
+///      MUPs only — the one region the full traversal pruned away —
+///      discovering the new MUPs that the retirement exposed.
 ///
 /// Correctness rests on count monotonicity (a parent is more general than
 /// its child, so count(parent) >= count(child)): inserts only increase
 /// counts, a pattern that flips uncovered→covered must previously have
 /// been uncovered, every previously-uncovered pattern lies at or below a
 /// current MUP, and therefore every flipped pattern is reachable from a
-/// retired MUP. The local expansion applies the exact FindMups predicate
+/// retired MUP. The local expansion is the FindMups traversal itself
 /// (uncovered with every parent covered), so after every insert `Mups()`
 /// equals order-normalized `MupFinder::FindMups` on the materialized
 /// dataset — the contract the differential oracle in

@@ -1,9 +1,7 @@
 #include "src/coverage/mup_finder.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -13,10 +11,11 @@
 namespace chameleon::coverage {
 namespace {
 
-/// Patterns per ParallelFor chunk when counting a frontier level. Small
-/// enough to balance skewed posting-list sizes, large enough to amortize
-/// dispatch.
+/// Patterns per ParallelFor chunk when counting a wave. Small enough to
+/// balance skewed posting-list sizes, large enough to amortize dispatch.
 constexpr int64_t kCountGrain = 8;
+
+}  // namespace
 
 void SortMups(std::vector<Mup>* mups) {
   std::sort(mups->begin(), mups->end(), [](const Mup& a, const Mup& b) {
@@ -24,8 +23,6 @@ void SortMups(std::vector<Mup>* mups) {
     return a.pattern < b.pattern;
   });
 }
-
-}  // namespace
 
 MupFinder::MupFinder(const data::AttributeSchema& schema,
                      const PatternCounter& counter)
@@ -36,17 +33,14 @@ std::vector<Mup> MupFinder::FindMups(const MupFinderOptions& options) const {
   std::optional<obs::Span> span;
   if (obs != nullptr) span.emplace(obs->tracer.StartSpan("mup.find"));
 
-  const int num_threads = util::ThreadPool::ResolveThreadCount(
-      options.num_threads);
-  std::vector<Mup> mups = num_threads <= 1
-                              ? FindMupsSerial(options)
-                              : FindMupsParallel(options, num_threads);
+  CountCache counts;
+  std::vector<Mup> mups =
+      Traverse({data::Pattern(schema_->num_attributes())}, &counts, options);
+  SortMups(&mups);
 
   if (obs != nullptr) {
     obs->registry.Counter("mup.found")->Increment(
         static_cast<int64_t>(mups.size()));
-    // Unstable across worker counts by design (see MupFinderOptions);
-    // obs::IsStableMetric exempts it from the determinism contract.
     obs->registry.Counter("mup.count_queries")->Increment(
         last_count_queries());
     for (const Mup& mup : mups) {
@@ -59,131 +53,73 @@ std::vector<Mup> MupFinder::FindMups(const MupFinderOptions& options) const {
   return mups;
 }
 
-std::vector<Mup> MupFinder::FindMupsSerial(
-    const MupFinderOptions& options) const {
+std::vector<Mup> MupFinder::Traverse(std::vector<data::Pattern> seeds,
+                                     CountCache* counts,
+                                     const MupFinderOptions& options) const {
   const int d = schema_->num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
-  last_count_queries_.store(0, std::memory_order_relaxed);
+  const int width = util::ThreadPool::ResolveThreadCount(options.num_threads);
+  std::optional<util::ThreadPool> pool;
+  if (width > 1) pool.emplace(width);
+  int64_t queries = 0;
 
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> count_cache;
-  auto count_of = [&](const data::Pattern& p) {
-    auto it = count_cache.find(p);
-    if (it != count_cache.end()) return it->second;
-    last_count_queries_.fetch_add(1, std::memory_order_relaxed);
-    const int64_t c = counter_->Count(p);
-    count_cache.emplace(p, c);
-    return c;
+  auto count_of = [&](const data::Pattern& pattern) {
+    auto [it, inserted] = counts->try_emplace(pattern, 0);
+    if (inserted) {
+      it->second = counter_->Count(pattern);
+      ++queries;
+    }
+    return it->second;
   };
 
   std::vector<Mup> mups;
-  std::unordered_set<data::Pattern, data::PatternHash> visited;
-  std::deque<data::Pattern> frontier;
-  const data::Pattern root(d);
-  frontier.push_back(root);
-  visited.insert(root);
-
-  while (!frontier.empty()) {
-    const data::Pattern pattern = frontier.front();
-    frontier.pop_front();
-
-    const int64_t count = count_of(pattern);
-    if (count >= options.tau) {
-      // Covered: descend. Children of covered nodes are the only
-      // candidates that can have all parents covered.
-      if (pattern.Level() >= max_level) continue;
-      for (auto& child : pattern.Children(*schema_)) {
-        if (visited.insert(child).second) {
-          frontier.push_back(std::move(child));
-        }
+  std::unordered_set<data::Pattern, data::PatternHash> visited(seeds.begin(),
+                                                               seeds.end());
+  std::vector<data::Pattern> wave = std::move(seeds);
+  while (!wave.empty()) {
+    // Count the wave's uncached patterns as one batch: per-index slots,
+    // merged into the cache in wave order, so the cache is the same at
+    // every width.
+    std::vector<const data::Pattern*> uncached;
+    for (const data::Pattern& pattern : wave) {
+      if (counts->find(pattern) == counts->end()) uncached.push_back(&pattern);
+    }
+    std::vector<int64_t> results(uncached.size(), 0);
+    auto count_range = [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
+      for (int64_t i = begin; i < end; ++i) {
+        results[i] = counter_->Count(*uncached[i]);
       }
-      continue;
+    };
+    const auto total = static_cast<int64_t>(uncached.size());
+    if (pool.has_value()) {
+      pool->ParallelFor(total, kCountGrain, count_range);
+    } else {
+      count_range(0, total, 0);
     }
-
-    // Uncovered: a MUP iff every parent is covered. (The root has no
-    // parents and is a MUP when itself uncovered.)
-    bool all_parents_covered = true;
-    for (const auto& parent : pattern.Parents()) {
-      if (count_of(parent) < options.tau) {
-        all_parents_covered = false;
-        break;
-      }
+    for (size_t i = 0; i < uncached.size(); ++i) {
+      counts->emplace(*uncached[i], results[i]);
     }
-    if (all_parents_covered) {
-      mups.push_back(Mup{pattern, count, options.tau - count});
-    }
-  }
-
-  SortMups(&mups);
-  return mups;
-}
-
-std::vector<Mup> MupFinder::FindMupsParallel(const MupFinderOptions& options,
-                                             int num_threads) const {
-  const int d = schema_->num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
-  last_count_queries_.store(0, std::memory_order_relaxed);
-
-  util::ThreadPool pool(num_threads);
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> counts;
-
-  // Counts a batch of distinct uncached patterns: the Count() calls fan
-  // out over the pool into per-index slots, then merge into the cache in
-  // batch order (deterministic for every worker count).
-  auto count_batch = [&](const std::vector<data::Pattern>& batch) {
-    if (batch.empty()) return;
-    std::vector<int64_t> results(batch.size(), 0);
-    pool.ParallelFor(static_cast<int64_t>(batch.size()), kCountGrain,
-                     [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
-                       for (int64_t i = begin; i < end; ++i) {
-                         results[i] = counter_->Count(batch[i]);
-                       }
-                     });
-    last_count_queries_.fetch_add(static_cast<int64_t>(batch.size()),
-                                  std::memory_order_relaxed);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      counts.emplace(batch[i], results[i]);
-    }
-  };
-
-  std::vector<Mup> mups;
-  std::unordered_set<data::Pattern, data::PatternHash> visited;
-  std::vector<data::Pattern> frontier;
-  frontier.emplace_back(d);
-  visited.insert(frontier[0]);
-  count_batch(frontier);
-
-  // Level-synchronous BFS over the same node set the serial traversal
-  // visits: each level's counts (and the parent counts its uncovered
-  // members need for the MUP predicate) are computed in parallel.
-  while (!frontier.empty()) {
-    std::vector<data::Pattern> missing_parents;
-    std::unordered_set<data::Pattern, data::PatternHash> requested;
-    for (const auto& pattern : frontier) {
-      if (counts.at(pattern) >= options.tau) continue;
-      for (auto& parent : pattern.Parents()) {
-        if (counts.find(parent) == counts.end() &&
-            requested.insert(parent).second) {
-          missing_parents.push_back(std::move(parent));
-        }
-      }
-    }
-    count_batch(missing_parents);
+    queries += total;
 
     std::vector<data::Pattern> next;
-    for (const auto& pattern : frontier) {
-      const int64_t count = counts.at(pattern);
+    for (const data::Pattern& pattern : wave) {
+      const int64_t count = counts->at(pattern);
       if (count >= options.tau) {
+        // Covered: descend. Children of covered nodes are the only
+        // candidates that can have all parents covered.
         if (pattern.Level() >= max_level) continue;
         for (auto& child : pattern.Children(*schema_)) {
-          if (visited.insert(child).second) {
-            next.push_back(std::move(child));
-          }
+          if (visited.insert(child).second) next.push_back(std::move(child));
         }
         continue;
       }
+      // Uncovered: a MUP iff every parent is covered. (The root has no
+      // parents and is a MUP when itself uncovered.) From the root every
+      // parent was visited a wave earlier and is cached; a patch may meet
+      // parents outside its region, whose counts are fetched on demand.
       bool all_parents_covered = true;
       for (const auto& parent : pattern.Parents()) {
-        if (counts.at(parent) < options.tau) {
+        if (count_of(parent) < options.tau) {
           all_parents_covered = false;
           break;
         }
@@ -192,11 +128,10 @@ std::vector<Mup> MupFinder::FindMupsParallel(const MupFinderOptions& options,
         mups.push_back(Mup{pattern, count, options.tau - count});
       }
     }
-    count_batch(next);
-    frontier = std::move(next);
+    wave = std::move(next);
   }
 
-  SortMups(&mups);
+  last_count_queries_.store(queries, std::memory_order_relaxed);
   return mups;
 }
 
@@ -206,7 +141,7 @@ std::vector<Mup> MupFinder::FindMupsNaive(const MupFinderOptions& options) const
 
   // Materialize every pattern level by level.
   std::vector<data::Pattern> current = {data::Pattern(d)};
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> counts;
+  CountCache counts;
   counts.emplace(current[0], counter_->Count(current[0]));
 
   std::vector<Mup> mups;

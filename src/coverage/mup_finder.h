@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "src/coverage/pattern_counter.h"
@@ -21,12 +22,11 @@ struct MupFinderOptions {
   int64_t tau = 50;
   /// Only report MUPs at level <= max_level (d by default, i.e. all).
   int max_level = -1;
-  /// Worker count for frontier counting: 0 = hardware concurrency
-  /// (the default), 1 = the exact legacy serial traversal. The reported
-  /// MUPs (patterns, counts, gaps, order) are identical at every setting;
-  /// only last_count_queries() may differ between the serial and parallel
-  /// traversals (the parallel one prefetches parent counts instead of
-  /// short-circuiting).
+  /// Worker count for counting each traversal wave: 0 = hardware
+  /// concurrency (the default), 1 = inline on the calling thread with no
+  /// pool. Every setting visits the same patterns and issues the same
+  /// Count() calls, so the reported MUPs (patterns, counts, gaps, order)
+  /// and last_count_queries() are identical at every width.
   int num_threads = 0;
   /// Optional observability sink (not owned; null = no instrumentation).
   /// FindMups records a `mup.find` span, the `mup.found` /
@@ -45,13 +45,20 @@ struct Mup {
   int Level() const { return pattern.Level(); }
 };
 
+/// Memoized pattern counts |D ∩ P|, shared by a traversal and its caller.
+using CountCache =
+    std::unordered_map<data::Pattern, int64_t, data::PatternHash>;
+
+/// Sorts MUPs into the canonical output order: ascending level, then
+/// lexicographic pattern.
+void SortMups(std::vector<Mup>* mups);
+
 /// Discovers all Maximal Uncovered Patterns (§2.3): patterns P with
 /// |D ∩ P| < tau whose parents are all covered. Two algorithms:
 ///
-///  * FindMups       — top-down lattice BFS expanding only covered nodes,
-///                     with memoized counts (the practical algorithm).
-///                     With num_threads > 1 each BFS level's candidate
-///                     patterns are counted in parallel.
+///  * FindMups       — top-down lattice traversal expanding only covered
+///                     nodes, with memoized counts (the practical
+///                     algorithm); see Traverse.
 ///  * FindMupsNaive  — full lattice materialization with the same MUP
 ///                     predicate, used as a correctness oracle in tests
 ///                     and as the ablation baseline in benchmarks.
@@ -62,20 +69,30 @@ class MupFinder {
   std::vector<Mup> FindMups(const MupFinderOptions& options) const;
   std::vector<Mup> FindMupsNaive(const MupFinderOptions& options) const;
 
+  /// The one lattice walk behind FindMups (seeded with the root and an
+  /// empty cache) and IncrementalMupIndex's patch (seeded with the MUPs
+  /// that just crossed tau and their patched counts). Level-synchronous:
+  /// each wave's uncached patterns are counted as one batch, covered
+  /// patterns expand into the next wave (up to options.max_level), and an
+  /// uncovered pattern is a MUP iff every parent is covered. Parent counts
+  /// come from `counts`; a missing parent is counted on demand, stopping
+  /// at the first uncovered one. `counts` holds exact counts on entry and
+  /// on return. Returns the MUPs met, unsorted; observability is ignored.
+  std::vector<Mup> Traverse(std::vector<data::Pattern> seeds,
+                            CountCache* counts,
+                            const MupFinderOptions& options) const;
+
   /// Restricts a MUP list to its minimum level: the set M* of §4.
   static std::vector<Mup> MinLevel(const std::vector<Mup>& mups);
 
-  /// Number of Count() calls issued by the last FindMups invocation
-  /// (diagnostic; atomic so the parallel traversal can tally safely).
+  /// Number of Count() calls issued by the last FindMups or Traverse
+  /// invocation (diagnostic; atomic so concurrent const calls stay
+  /// race-free).
   int64_t last_count_queries() const {
     return last_count_queries_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::vector<Mup> FindMupsSerial(const MupFinderOptions& options) const;
-  std::vector<Mup> FindMupsParallel(const MupFinderOptions& options,
-                                    int num_threads) const;
-
   const data::AttributeSchema* schema_;
   const PatternCounter* counter_;
   mutable std::atomic<int64_t> last_count_queries_{0};

@@ -174,8 +174,7 @@ bool IsStableMetric(const std::string& name) {
   // Amortized wall time per insert (IncrementalMupIndex) — machine- and
   // load-dependent by nature. The sibling mup.incremental.* counters
   // (patched/retired/discovered) are deterministic and stay stable.
-  if (name == "mup.incremental.insert_ns") return false;
-  return name != "mup.count_queries";
+  return name != "mup.incremental.insert_ns";
 }
 
 std::string FormatMetricValue(double value) {

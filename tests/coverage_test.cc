@@ -249,11 +249,12 @@ TEST(PatternCounterTest, AddTupleRejectsOutOfDomainValues) {
   EXPECT_EQ(counter.Count(data::Pattern({0, 1})), 1);
 }
 
-// The parallel frontier traversal must report exactly the serial MUPs —
-// same patterns, counts, gaps, and order — across random datasets.
+// FindMups must report exactly the naive oracle's MUPs — same patterns,
+// counts, gaps, and order — at every width, and issue the same Count()
+// calls at every width (the traversal counts each visited pattern once).
 class MupParallelAgreementTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(MupParallelAgreementTest, ParallelMatchesSerial) {
+TEST_P(MupParallelAgreementTest, EveryWidthMatchesNaive) {
   const uint64_t seed = GetParam();
   const int d = 3 + static_cast<int>(seed % 3);
   const auto schema = BinarySchema(d);
@@ -262,18 +263,22 @@ TEST_P(MupParallelAgreementTest, ParallelMatchesSerial) {
   MupFinder finder(schema, counter);
   MupFinderOptions options;
   options.tau = 20 + static_cast<int64_t>(seed % 5) * 40;
+  options.max_level = seed % 4 == 0 ? 2 : -1;
 
-  options.num_threads = 1;
-  const auto serial = finder.FindMups(options);
-  for (int threads : {2, 4}) {
+  const auto naive = finder.FindMupsNaive(options);
+  int64_t serial_queries = 0;
+  for (int threads : {1, 2, 4, 8}) {
     options.num_threads = threads;
-    const auto parallel = finder.FindMups(options);
+    const auto mups = finder.FindMups(options);
+    if (threads == 1) serial_queries = finder.last_count_queries();
     EXPECT_GT(finder.last_count_queries(), 0);
-    ASSERT_EQ(serial.size(), parallel.size()) << "threads=" << threads;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].pattern, parallel[i].pattern);
-      EXPECT_EQ(serial[i].count, parallel[i].count);
-      EXPECT_EQ(serial[i].gap, parallel[i].gap);
+    EXPECT_EQ(finder.last_count_queries(), serial_queries)
+        << "threads=" << threads;
+    ASSERT_EQ(mups.size(), naive.size()) << "threads=" << threads;
+    for (size_t i = 0; i < naive.size(); ++i) {
+      EXPECT_EQ(mups[i].pattern, naive[i].pattern);
+      EXPECT_EQ(mups[i].count, naive[i].count);
+      EXPECT_EQ(mups[i].gap, naive[i].gap);
     }
   }
 }

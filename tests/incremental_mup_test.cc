@@ -428,6 +428,53 @@ TEST(IncrementalMupIndexTest, BatchedInsertEqualsSequentialInserts) {
   EXPECT_EQ(batched.num_tuples(), sequential.num_tuples());
 }
 
+TEST(IncrementalMupIndexTest, BatchRetiringMupsAtTwoLevelsMatchesFinders) {
+  // 1XX (count 2, level 1) and 00X (count 1, level 2) are both MUPs at
+  // tau = 3. One batch pushes both over tau, so the patch traversal
+  // starts from a wave that mixes levels.
+  const data::AttributeSchema schema = MixedSchema({2, 2, 2});
+  IncrementalMupOptions options;
+  options.tau = 3;
+  const std::vector<std::vector<int>> base = {
+      {1, 0, 0}, {1, 0, 1}, {0, 0, 0}, {0, 1, 0}, {0, 1, 1}};
+  const std::vector<std::vector<int>> batch = {
+      {1, 0, 0}, {0, 0, 0}, {0, 0, 1}};
+  IncrementalMupIndex index(schema, options);
+  PatternCounter reference(schema);
+  ASSERT_TRUE(index.InsertBatch(base).ok());
+  for (const auto& values : base) ASSERT_TRUE(reference.AddTuple(values).ok());
+  const std::vector<Mup> before = index.Mups();
+  const int64_t retired_before = index.retired();
+
+  ASSERT_TRUE(index.InsertBatch(batch).ok());
+  for (const auto& values : batch) {
+    ASSERT_TRUE(reference.AddTuple(values).ok());
+  }
+  const std::vector<Mup> after = index.Mups();
+
+  constexpr int x = data::Pattern::kUnspecified;
+  std::vector<data::Pattern> retired;
+  for (const Mup& mup : before) {
+    const bool live = std::any_of(after.begin(), after.end(),
+                                  [&mup](const Mup& other) {
+                                    return other.pattern == mup.pattern;
+                                  });
+    if (!live) retired.push_back(mup.pattern);
+  }
+  EXPECT_EQ(index.retired() - retired_before,
+            static_cast<int64_t>(retired.size()));
+  ASSERT_TRUE(std::find(retired.begin(), retired.end(),
+                        data::Pattern({1, x, x})) != retired.end());
+  ASSERT_TRUE(std::find(retired.begin(), retired.end(),
+                        data::Pattern({0, 0, x})) != retired.end());
+
+  MupFinder finder(schema, reference);
+  MupFinderOptions find_options;
+  find_options.tau = 3;
+  EXPECT_TRUE(SameMups(after, finder.FindMups(find_options)));
+  EXPECT_TRUE(SameMups(after, finder.FindMupsNaive(find_options)));
+}
+
 TEST(IncrementalMupIndexTest, InvalidTuplesAreRejectedAtomically) {
   const data::AttributeSchema schema = MixedSchema({2, 3});
   IncrementalMupOptions options;

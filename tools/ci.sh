@@ -36,11 +36,13 @@ run_job() {
   ctest --test-dir "${dir}" --output-on-failure
   if [[ "${name}" == "tsan" ]]; then
     # Focused second pass over the suites that exercise cross-thread
-    # machinery hardest: the fault-injection stack and the observability
+    # machinery hardest: the fault-injection stack, the observability
     # layer's concurrent counters/histograms and instrumented pipeline
-    # runs (labelled `resilience` and `obs` in tests/CMakeLists.txt).
-    echo "==== [${name}] ctest -L 'resilience|obs' (focused rerun) ===="
-    ctest --test-dir "${dir}" --output-on-failure -L 'resilience|obs'
+    # runs, and the MUP lattice traversal whose pool-parallel wave
+    # counting both coverage callers share (labelled `resilience`, `obs`
+    # and `coverage` in tests/CMakeLists.txt).
+    echo "==== [${name}] ctest -L 'resilience|obs|coverage' (focused rerun) ===="
+    ctest --test-dir "${dir}" --output-on-failure -L 'resilience|obs|coverage'
   fi
 }
 
@@ -183,7 +185,8 @@ run_bench_smoke() {
   local threshold="${BENCH_SMOKE_THRESHOLD:-0.25}"
   local smoke_benches=(bench_micro_greedy bench_micro_linucb
                        bench_micro_ocsvm bench_obs bench_batching
-                       bench_daemon bench_incremental_coverage)
+                       bench_daemon bench_incremental_coverage
+                       bench_micro_coverage)
   echo "==== [bench-smoke] configure (Release) ===="
   cmake -B "${dir}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
