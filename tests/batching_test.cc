@@ -520,10 +520,21 @@ TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
   }
 }
 
-TEST(BatchingDeterminismTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
-  // A scripted outage inside a batch (no retry layer) parks the entries
-  // it hit — one fm.parked increment per failed result — while the OK
-  // results from the same flush are still evaluated and merged.
+/// Pinned outcome of the scripted-outage run below at one rejection_batch.
+struct ParkingCase {
+  int rejection_batch = 1;
+  int64_t parked_count = 0;    // fm.parked: one per failed result
+  int64_t parked_entries = 0;  // plan entries parked
+  int64_t queries = 0;         // successful queries in the report
+};
+
+class BatchParkingTest : public ::testing::TestWithParam<ParkingCase> {};
+
+TEST_P(BatchParkingTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
+  // A scripted outage (no retry layer) parks the entries it hit — one
+  // fm.parked increment per failed result — while the OK results from
+  // the same round are still evaluated and merged.
+  const ParkingCase& expected = GetParam();
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
   fm::Corpus corpus =
@@ -541,24 +552,38 @@ TEST(BatchingDeterminismTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
   ChameleonOptions options;
   options.tau = 40;
   options.seed = 11;
-  options.rejection_batch = 8;
-  options.fm_batch_size = 8;
+  options.rejection_batch = expected.rejection_batch;
   options.observability = &observability;
   Chameleon system(&model, &embedder, &evaluators, options);
   auto report = system.RepairMinLevelMups(&corpus);
   ASSERT_TRUE(report.ok());
 
-  // The outage hit real queries and parked at least one entry...
-  EXPECT_EQ(model.counters().scripted, 3);
-  EXPECT_GE(report->faults.parked_entries(), 1);
-  // ...with one parked count per failed result, not per entry.
-  EXPECT_EQ(observability.registry.Counter("fm.parked")->value(), 3);
-  // The healthy queries sharing those batches still produced tuples.
+  // Every scripted failure that hit a query parked once: the count is
+  // per failed result, not per entry.
+  EXPECT_EQ(model.counters().scripted, expected.parked_count);
+  EXPECT_EQ(observability.registry.Counter("fm.parked")->value(),
+            expected.parked_count);
+  EXPECT_EQ(report->faults.parked_entries(), expected.parked_entries);
+  EXPECT_EQ(report->queries, expected.queries);
+  // The healthy queries sharing those rounds still produced tuples.
   EXPECT_GT(report->accepted, 0);
   // Pinned accounting identities from the obs layer still hold.
-  EXPECT_EQ(report->queries,
-            static_cast<int64_t>(model.num_queries()) - 3);
+  EXPECT_EQ(report->queries, static_cast<int64_t>(model.num_queries()) -
+                                 expected.parked_count);
 }
+
+// The plan has two entries. At rejection_batch 1 each round is one query:
+// the first entry's third query (outage start) parks it, the second
+// entry's first query parks that one, and the run ends with the last
+// outage query never issued. At 8 the whole outage lands inside the first
+// entry's first round: three parked results, one parked entry, and the
+// second entry still runs.
+INSTANTIATE_TEST_SUITE_P(
+    RejectionBatch, BatchParkingTest,
+    ::testing::Values(ParkingCase{1, 2, 2, 2}, ParkingCase{8, 3, 1, 52}),
+    [](const ::testing::TestParamInfo<ParkingCase>& info) {
+      return "rejection_batch_" + std::to_string(info.param.rejection_batch);
+    });
 
 }  // namespace
 }  // namespace chameleon::core
