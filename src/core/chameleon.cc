@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/coverage/pattern_counter.h"
-#include "src/fm/batching.h"
 #include "src/fm/deadline.h"
 #include "src/obs/observability.h"
 #include "src/util/thread_pool.h"
@@ -17,18 +16,17 @@ namespace {
 
 /// One submitted request awaiting its transport result. Select runs
 /// serially at submission; generation and label draws come from two
-/// streams forked off the master rng at submission time, so neither the
-/// transport grouping nor the dispatch order can change any draw. The
-/// request's guide_values/mask pointers alias `choice`/`mask`, so the
-/// struct must stay put once enqueued — the submission vector reserves
-/// the whole round up front.
+/// streams forked off the master rng at submission time, so the dispatch
+/// cannot change any draw. The request's guide_values/mask pointers alias
+/// `choice`/`mask`, and the round's BatchItem points at `request` and
+/// `gen_rng`, so the struct must stay put once submitted — the
+/// submission vector reserves the whole round up front.
 struct PendingGeneration {
   GuideChoice choice;
   fm::GenerationRequest request;
   image::Image mask;
   util::Rng gen_rng;
   util::Rng label_rng;
-  fm::BatchCoalescer::Slot result;
 };
 
 /// One generated candidate awaiting evaluation. Embed and the rejection
@@ -72,6 +70,7 @@ struct LoopInstruments {
   obs::Counter* rejected_both = nullptr;
   obs::Histogram* decision_value = nullptr;
   obs::Histogram* quality_p = nullptr;
+  obs::Histogram* batch_size = nullptr;
 
   explicit LoopInstruments(obs::Registry* registry) {
     fm_queries = registry->Counter("fm.queries");
@@ -87,6 +86,8 @@ struct LoopInstruments {
         "rejection.decision_value", {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0});
     quality_p = registry->Histogram(
         "rejection.quality_p", {0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
+    batch_size = registry->Histogram("fm.batch.size",
+                                     {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   }
 };
 
@@ -119,21 +120,6 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
   }
 
   obs::Observability* const obs = options_.observability;
-
-  // Transport batching (DESIGN.md §11): 0 follows rejection_batch, 1 is
-  // the legacy one-dispatch-per-query wire shape. The coalescer is
-  // force-flushed at the end of every round (evaluation needs the
-  // results), so the window/size triggers only fire mid-round.
-  const int64_t fm_batch =
-      options_.fm_batch_size > 0 ? options_.fm_batch_size : batch_limit;
-  std::optional<fm::BatchCoalescer> coalescer;
-  if (fm_batch > 1) {
-    fm::BatchCoalescerOptions coalescer_options;
-    coalescer_options.max_batch_size =
-        static_cast<int>(std::min<int64_t>(fm_batch, 4096));
-    coalescer_options.window_ms = options_.batch_window_ms;
-    coalescer.emplace(model_, coalescer_options, obs);
-  }
   std::optional<LoopInstruments> metrics;
   std::optional<obs::Span> entry_span;
   if (obs != nullptr) {
@@ -182,12 +168,14 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     }
 
     // Submission: everything that touches the master rng or reads
-    // mutable pipeline state runs serially, in the same order at every
-    // transport batch size. Each request forks a generation stream and a
-    // label stream off the master rng at submission, so grouping the
-    // dispatches differently cannot change any draw (DESIGN.md §11).
+    // mutable pipeline state runs serially, in submission order. Each
+    // request forks a generation stream and a label stream off the master
+    // rng at submission, so the round's one dispatch cannot change any
+    // draw (DESIGN.md §11).
     std::vector<PendingGeneration> submissions;
+    std::vector<fm::BatchItem> items;
     submissions.reserve(batch);
+    items.reserve(batch);
     for (int64_t b = 0; b < batch; ++b) {
       ++attempts;
 
@@ -231,42 +219,38 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       // dispatch so it equals FoundationModel::num_queries() whatever the
       // outcome (the contract test in chameleon_test.cc pins both).
       if (obs != nullptr) metrics->fm_queries->Increment();
-      if (coalescer.has_value()) {
-        CHAMELEON_RETURN_NOT_OK(
-            coalescer->Enqueue(&sub.request, &sub.gen_rng, &sub.result));
-      } else {
-        sub.result = model_->Generate(sub.request, &sub.gen_rng);
-        if (!sub.result->ok()) {
-          // Legacy wire shape: stop submitting at the first transport
-          // failure; the processing loop below parks it. Terminal codes
-          // abort the run outright.
-          if (options_.park_failing_entries &&
-              fm::IsTransportError(sub.result->status().code())) {
-            break;
-          }
-          return sub.result->status();
-        }
-      }
+      items.push_back(fm::BatchItem{&sub.request, &sub.gen_rng});
     }
-    if (coalescer.has_value()) CHAMELEON_RETURN_NOT_OK(coalescer->Flush());
+
+    // One transport dispatch per round (DESIGN.md §11): evaluation needs
+    // every result, so the round is the only grouping the loop has.
+    std::vector<util::Result<fm::GenerationResult>> results =
+        model_->GenerateBatch(items);
+    if (results.size() != items.size()) {
+      return util::Status::Internal(
+          "GenerateBatch returned " + std::to_string(results.size()) +
+          " results for a batch of " + std::to_string(items.size()));
+    }
+    if (obs != nullptr) {
+      obs->journal.Record(
+          obs::JournalEvent("fm.batch").Set("size", items.size()));
+      metrics->batch_size->Observe(static_cast<double>(items.size()));
+    }
 
     // Transport results, in submission order. A transport failure means
     // the model's resilience layer (retries, breaker) already did what
     // it could: park this plan entry and let the run continue, but still
     // evaluate and merge this round's successful candidates so the
     // accounting and the bandit state stay exactly as if the round were
-    // smaller.
+    // smaller. Terminal codes abort the run.
     std::vector<PendingCandidate> candidates;
     candidates.reserve(submissions.size());
-    for (PendingGeneration& sub : submissions) {
-      if (!sub.result.has_value()) {
-        return util::Status::Internal(
-            "generation batch left a request unanswered");
-      }
-      if (!sub.result->ok()) {
-        const util::Status& failure = sub.result->status();
-        if (options_.park_failing_entries &&
-            fm::IsTransportError(failure.code())) {
+    for (size_t i = 0; i < submissions.size(); ++i) {
+      PendingGeneration& sub = submissions[i];
+      util::Result<fm::GenerationResult>& result = results[i];
+      if (!result.ok()) {
+        const util::Status& failure = result.status();
+        if (fm::IsTransportError(failure.code())) {
           ++report->faults.transport_failures;
           if (!parked) report->faults.parked_targets.push_back(target);
           parked = true;
@@ -283,7 +267,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       }
       ++report->queries;
 
-      fm::GenerationResult generation = std::move(**sub.result);
+      fm::GenerationResult generation = std::move(*result);
       PendingCandidate candidate;
       candidate.choice = std::move(sub.choice);
       candidate.image = std::move(generation.image);

@@ -53,25 +53,19 @@ struct ChameleonOptions {
   /// bit-identical at every setting — the batch structure and merge
   /// order never depend on the worker count.
   int num_threads = 0;
-  /// Candidates evaluated (embed + rejection tests) per batch of the
-  /// generate→embed→reject loop. 1 (the default) is the exact legacy
-  /// serial loop. Larger batches unlock parallel evaluation but delay
-  /// bandit feedback and corpus growth until the batch's deterministic
-  /// in-order merge, so runs with different batch sizes may diverge;
-  /// runs with different num_threads never do.
+  /// Queries per round of the generate→embed→reject loop. Each round is
+  /// one FoundationModel::GenerateBatch dispatch (DESIGN.md §11), then
+  /// evaluation (embed + rejection tests) and an in-order merge. 1 (the
+  /// default) is the one-query-at-a-time loop. Larger rounds unlock
+  /// parallel evaluation but delay bandit feedback and corpus growth
+  /// until the round's deterministic merge, so runs with different round
+  /// sizes may diverge; runs with different num_threads never do.
+  /// A result failing with a transport-level code (kUnavailable/
+  /// kDeadlineExceeded/kResourceExhausted — the model's own resilience
+  /// layer already gave up) parks the current plan entry: its round-mates
+  /// still merge and the run continues down the plan. A terminal code
+  /// (invalid request, internal bug) aborts the run with that status.
   int rejection_batch = 1;
-  /// Transport batch for foundation-model queries (DESIGN.md §11): how
-  /// many generation requests the BatchCoalescer groups into one
-  /// GenerateBatch dispatch. 0 (the default) follows rejection_batch;
-  /// 1 disables coalescing (every query is its own dispatch, the legacy
-  /// wire shape). Grouping is pure transport: each request owns a forked
-  /// rng stream, so accepted tuples are bit-identical at every setting.
-  int fm_batch_size = 0;
-  /// Coalescer flush window in virtual milliseconds (the coalescer's own
-  /// arrival axis, never a wall clock). A batch also flushes when it
-  /// reaches the batch size, and is force-flushed at the end of every
-  /// rejection round — results are needed before evaluation can start.
-  double batch_window_ms = 5.0;
   /// Router policy for multi-backend models (fm::BackendPool); forwarded
   /// to the model at the start of every run. Single-backend models
   /// ignore it.
@@ -103,13 +97,6 @@ struct ChameleonOptions {
   /// so accepted tuples, reports, and digests are bit-identical to the
   /// default mode. Off by default (the legacy full recompute).
   bool incremental_coverage = false;
-  /// Graceful degradation: when a generation fails with a transport-level
-  /// code (kUnavailable/kDeadlineExceeded/kResourceExhausted — i.e. the
-  /// model's own resilience layer already gave up), park the current plan
-  /// entry and keep working down the plan instead of failing the run.
-  /// Terminal codes (invalid request, internal bug) always abort the run.
-  /// false restores the legacy behaviour: any generation failure is fatal.
-  bool park_failing_entries = true;
 };
 
 /// One generated tuple's audit record: everything the benchmarks need to
@@ -137,8 +124,8 @@ struct FaultSummary {
   /// order. A parked entry keeps whatever tuples it accepted before the
   /// failure; the run continues with the next entry.
   std::vector<std::vector<int>> parked_targets;
-  /// Generation calls that surfaced a transport error to the pipeline
-  /// (each one parks an entry when park_failing_entries is set).
+  /// Generation results that surfaced a transport error to the pipeline
+  /// (each one parks its entry).
   int64_t transport_failures = 0;
   /// Cumulative snapshot of the model's fault telemetry at the end of the
   /// run (zeros when the model has no resilience layer).

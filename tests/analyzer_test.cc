@@ -238,14 +238,15 @@ void Caller(Legacy* legacy) {
 }
 
 TEST(StatusDisciplineTest, SeededBatchingApisAreFlagged) {
-  // The batched-transport surface: BatchCoalescer::Enqueue/Flush return
-  // Status (a dropped Flush status silently loses a whole batch's
-  // failures) and GenerateBatch's return vector is must-use (dropping it
-  // loses every slot's answer at once).
+  // The foundation-model transport surface: Generate returns a Result (a
+  // dropped one silently loses the query's failure) and GenerateBatch's
+  // return vector is must-use (dropping it loses every slot's answer at
+  // once).
   const std::string source = R"(
-void Dispatch(fm::BatchCoalescer* coalescer, fm::FoundationModel* model,
+void Dispatch(fm::FoundationModel* model,
+              const fm::GenerationRequest& request, util::Rng* rng,
               std::span<const fm::BatchItem> items) {
-  coalescer->Flush();
+  model->Generate(request, rng);
   model->GenerateBatch(items);
 }
 )";
@@ -260,12 +261,12 @@ void Dispatch(fm::BatchCoalescer* coalescer, fm::FoundationModel* model,
 
 TEST(StatusDisciplineTest, ConsumedBatchingCallsAreClean) {
   const std::string source = R"(
-util::Status Dispatch(fm::BatchCoalescer* coalescer,
-                      fm::FoundationModel* model,
+util::Status Dispatch(fm::FoundationModel* model,
+                      const fm::GenerationRequest& request, util::Rng* rng,
                       std::span<const fm::BatchItem> items) {
   auto results = model->GenerateBatch(items);
-  CHAMELEON_RETURN_NOT_OK(coalescer->Enqueue(&request, &rng, &slot));
-  return coalescer->Flush();
+  auto single = model->Generate(request, rng);
+  return single.status();
 }
 )";
   FunctionRegistry registry;

@@ -1,12 +1,13 @@
-// Batched FM queries: the BatchCoalescer's flush triggers, the
+// Batched FM queries: the default GenerateBatch's slot contract, the
 // BackendPool's routing and slot-order contracts, and the pipeline-level
-// determinism guarantee — accepted tuples are bit-identical across fm
-// batch sizes and thread counts, with and without injected faults
-// (DESIGN.md §11).
+// guarantees — each rejection round is exactly one GenerateBatch
+// dispatch, and accepted tuples are bit-identical across thread counts,
+// with and without injected faults (DESIGN.md §11).
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "src/datasets/feret.h"
 #include "src/embedding/simulated_embedder.h"
 #include "src/fm/backend_pool.h"
-#include "src/fm/batching.h"
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/flaky_foundation_model.h"
 #include "src/fm/foundation_model.h"
@@ -29,14 +29,10 @@
 namespace chameleon::fm {
 namespace {
 
-// ---------------------------------------------------------------------------
-// BatchCoalescer flush triggers
-// ---------------------------------------------------------------------------
-
-/// Deterministic backend that records the size of every batch it serves.
-/// Each result echoes the request's values and stamps latent_realism from
-/// the model's own call counter, so slot routing mistakes are visible.
-class RecordingModel : public FoundationModel {
+/// Deterministic backend that echoes the request's values and stamps
+/// latent_realism from its own call counter, so slot routing mistakes
+/// are visible.
+class EchoModel : public FoundationModel {
  public:
   [[nodiscard]] util::Result<GenerationResult> Generate(
       const GenerationRequest& request, util::Rng* /*rng*/) override {
@@ -48,17 +44,9 @@ class RecordingModel : public FoundationModel {
     return result;
   }
 
-  [[nodiscard]] std::vector<util::Result<GenerationResult>> GenerateBatch(
-      std::span<const BatchItem> items) override {
-    batch_sizes_.push_back(static_cast<int>(items.size()));
-    return FoundationModel::GenerateBatch(items);
-  }
-
   double query_cost() const override { return 1.0; }
-  const std::vector<int>& batch_sizes() const { return batch_sizes_; }
 
  private:
-  std::vector<int> batch_sizes_;
   int64_t calls_ = 0;
 };
 
@@ -68,137 +56,31 @@ GenerationRequest RequestFor(int i) {
   return request;
 }
 
-TEST(BatchCoalescerTest, SizeTriggerFlushesFullBatches) {
-  RecordingModel model;
-  BatchCoalescerOptions options;
-  options.max_batch_size = 3;
-  options.window_ms = 1e9;  // never trips
-  BatchCoalescer coalescer(&model, options);
-
-  std::vector<GenerationRequest> requests;
-  std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(7);
-  for (int i = 0; i < 7; ++i) {
-    requests.push_back(RequestFor(i));
-    rngs.emplace_back(static_cast<uint64_t>(i));
-  }
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
-  }
-  // Two full batches of 3 flushed on size; the 7th request still pending.
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 3}));
-  EXPECT_EQ(coalescer.pending(), 1u);
-  EXPECT_FALSE(slots[6].has_value());
-
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 3, 1}));
-  EXPECT_EQ(coalescer.pending(), 0u);
-
-  const BatchCoalescerStats& stats = coalescer.stats();
-  EXPECT_EQ(stats.enqueued, 7);
-  EXPECT_EQ(stats.flushes, 3);
-  EXPECT_EQ(stats.flushed_requests, 7);
-  EXPECT_EQ(stats.size_flushes, 2);
-  EXPECT_EQ(stats.window_flushes, 0);
-  EXPECT_EQ(stats.forced_flushes, 1);
-  EXPECT_EQ(stats.max_batch, 3);
-
-  // Every slot answered, in arrival order, with its own request's values.
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(slots[i].has_value()) << "slot " << i;
-    ASSERT_TRUE(slots[i]->ok());
-    EXPECT_EQ((*slots[i])->values, requests[i].target_values);
-    EXPECT_DOUBLE_EQ((*slots[i])->latent_realism, static_cast<double>(i));
-  }
-}
-
-TEST(BatchCoalescerTest, WindowTriggerFlushesAgedBatch) {
-  RecordingModel model;
-  BatchCoalescerOptions options;
-  options.max_batch_size = 100;
-  options.window_ms = 2.5;
-  options.arrival_interval_ms = 1.0;
-  BatchCoalescer coalescer(&model, options);
-
-  std::vector<GenerationRequest> requests;
-  std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(5);
-  for (int i = 0; i < 5; ++i) {
-    requests.push_back(RequestFor(i));
-    rngs.emplace_back(static_cast<uint64_t>(i));
-  }
-  // Arrivals at t = 0,1,2,3,4 ms. The arrival at t=3 ages the window
-  // opened at t=0 past 2.5 ms, so {0,1,2} flush before 3 is queued; the
-  // same happens again when a later arrival would age the new window.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
-  }
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3}));
-  EXPECT_EQ(coalescer.stats().window_flushes, 1);
-  EXPECT_EQ(coalescer.pending(), 2u);
-
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 2}));
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(slots[i].has_value());
-    ASSERT_TRUE(slots[i]->ok());
-    EXPECT_EQ((*slots[i])->values, requests[i].target_values);
-  }
-}
-
-TEST(BatchCoalescerTest, FlushOnEmptyIsANoOp) {
-  RecordingModel model;
-  BatchCoalescer coalescer(&model, {});
-  ASSERT_TRUE(coalescer.Flush().ok());
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(coalescer.stats().flushes, 0);
-  EXPECT_TRUE(model.batch_sizes().empty());
-}
-
-TEST(BatchCoalescerTest, EnqueueRejectsNullArguments) {
-  RecordingModel model;
-  BatchCoalescer coalescer(&model, {});
-  GenerationRequest request = RequestFor(0);
-  util::Rng rng(1);
-  BatchCoalescer::Slot slot;
-  EXPECT_EQ(coalescer.Enqueue(nullptr, &rng, &slot).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.Enqueue(&request, nullptr, &slot).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.Enqueue(&request, &rng, nullptr).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.pending(), 0u);
-}
-
-TEST(BatchCoalescerTest, PerRequestFailuresLandInTheirOwnSlots) {
+TEST(FoundationModelTest, PerRequestFailuresLandInTheirOwnSlots) {
   // A failing request must not poison its batchmates: the default
   // GenerateBatch carries each per-request error in its own slot.
   FlakyOptions flaky_options;
   flaky_options.outage_start = 1;  // second call in the batch fails
   flaky_options.outage_length = 1;
-  RecordingModel inner;
+  EchoModel inner;
   FlakyFoundationModel model(&inner, flaky_options);
 
-  BatchCoalescerOptions options;
-  options.max_batch_size = 3;
-  BatchCoalescer coalescer(&model, options);
   std::vector<GenerationRequest> requests;
   std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(3);
-  requests.reserve(3);  // enqueued pointers must survive the loop
-  rngs.reserve(3);
   for (int i = 0; i < 3; ++i) {
     requests.push_back(RequestFor(i));
     rngs.emplace_back(static_cast<uint64_t>(i));
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
   }
-  ASSERT_TRUE(slots[0].has_value());
-  ASSERT_TRUE(slots[1].has_value());
-  ASSERT_TRUE(slots[2].has_value());
-  EXPECT_TRUE(slots[0]->ok());
-  EXPECT_EQ(slots[1]->status().code(), util::StatusCode::kUnavailable);
-  EXPECT_TRUE(slots[2]->ok());
-  EXPECT_EQ((*slots[2])->values, requests[2].target_values);
+  std::vector<BatchItem> items;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    items.push_back(BatchItem{&requests[i], &rngs[i]});
+  }
+  const auto results = model.GenerateBatch(items);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].status().code(), util::StatusCode::kUnavailable);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(results[2]->values, requests[2].target_values);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +250,7 @@ TEST(BackendPoolTest, BatchingSameRequestsIsBitIdenticalToSingles) {
 }  // namespace chameleon::fm
 
 // ---------------------------------------------------------------------------
-// Pipeline-level bit-identity across batch sizes and thread counts
+// Pipeline level: one dispatch per round, bit-identity across threads
 // ---------------------------------------------------------------------------
 
 namespace chameleon::core {
@@ -379,11 +261,10 @@ struct PipelineRun {
   int64_t synthetic = 0;
 };
 
-/// One full repair over a fresh FERET corpus with the given fm transport
-/// batch size (1 = legacy direct path, 0 = follow rejection_batch).
+/// One full repair over a fresh FERET corpus at rejection_batch 32.
 /// When `faults` is set, the model stack is resilient(flaky(simulator))
 /// with a 30% transient rate and a retry budget that masks everything.
-PipelineRun RunBatchedRepair(int fm_batch, int threads, bool faults) {
+PipelineRun RunBatchedRepair(int threads, bool faults) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
   fm::Corpus corpus =
@@ -413,7 +294,6 @@ PipelineRun RunBatchedRepair(int fm_batch, int threads, bool faults) {
   options.seed = 11;
   options.num_threads = threads;
   options.rejection_batch = 32;
-  options.fm_batch_size = fm_batch;
   Chameleon system(model, &embedder, &evaluators, options);
   auto report = system.RepairMinLevelMups(&corpus);
   EXPECT_TRUE(report.ok());
@@ -437,54 +317,137 @@ void ExpectSameAcceptedTuples(const RepairReport& a, const RepairReport& b) {
   }
 }
 
-TEST(BatchingDeterminismTest, AcceptedTuplesBitIdenticalAcrossBatchSizes) {
-  // Acceptance criterion: grouping queries into transport batches must
-  // not change a single accepted tuple. Baseline is the legacy direct
-  // path (fm_batch = 1) at one thread; every batched configuration —
-  // including the follow-rejection_batch default (0) — must match it
-  // bit for bit at every thread count.
-  const PipelineRun baseline =
-      RunBatchedRepair(/*fm_batch=*/1, /*threads=*/1, /*faults=*/false);
+/// Transparent wrapper that records every GenerateBatch dispatch's size
+/// and counts direct Generate calls.
+class DispatchRecorder : public fm::FoundationModel {
+ public:
+  explicit DispatchRecorder(fm::FoundationModel* inner) : inner_(inner) {}
+
+  [[nodiscard]] util::Result<fm::GenerationResult> Generate(
+      const fm::GenerationRequest& request, util::Rng* rng) override {
+    ++direct_calls_;
+    return inner_->Generate(request, rng);
+  }
+
+  [[nodiscard]] std::vector<util::Result<fm::GenerationResult>>
+  GenerateBatch(std::span<const fm::BatchItem> items) override {
+    dispatch_sizes_.push_back(static_cast<int64_t>(items.size()));
+    return inner_->GenerateBatch(items);
+  }
+
+  double query_cost() const override { return inner_->query_cost(); }
+
+  const std::vector<int64_t>& dispatch_sizes() const {
+    return dispatch_sizes_;
+  }
+  int64_t direct_calls() const { return direct_calls_; }
+
+ private:
+  fm::FoundationModel* inner_;
+  std::vector<int64_t> dispatch_sizes_;
+  int64_t direct_calls_ = 0;
+};
+
+/// The round sizes a fault-free run must issue, derived from the plan
+/// and the per-query records alone: each round of an entry asks for
+/// min(rejection_batch, tuples still needed, attempts left) queries, and
+/// the entry ends once it is filled or out of attempts.
+std::vector<int64_t> ExpectedRoundSizes(const RepairReport& report,
+                                        const ChameleonOptions& options) {
+  std::vector<int64_t> rounds;
+  size_t next = 0;
+  for (const PlanEntry& entry : report.plan) {
+    const int64_t cap = options.max_attempts_per_tuple * entry.count;
+    int64_t accepted = 0;
+    int64_t attempts = 0;
+    while (accepted < entry.count && attempts < cap) {
+      const int64_t size = std::min(
+          {static_cast<int64_t>(options.rejection_batch),
+           entry.count - accepted, cap - attempts});
+      rounds.push_back(size);
+      for (int64_t i = 0; i < size && next < report.records.size(); ++i) {
+        if (report.records[next++].accepted) ++accepted;
+      }
+      attempts += size;
+    }
+  }
+  return rounds;
+}
+
+TEST(BatchingDeterminismTest, EachRejectionRoundIsOneWholeDispatch) {
+  embedding::SimulatedEmbedder embedder;
+  fm::EvaluatorPool evaluators(2024);
+  fm::Corpus corpus =
+      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+  fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
+                                   datasets::FeretFaceStyleFn(),
+                                   datasets::FeretScene(),
+                                   fm::SimulatedFoundationModel::Options());
+  DispatchRecorder recorder(&sim);
+
+  ChameleonOptions options;
+  options.tau = 40;
+  options.seed = 11;
+  options.rejection_batch = 32;
+  Chameleon system(&recorder, &embedder, &evaluators, options);
+  auto report = system.RepairMinLevelMups(&corpus);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->queries, 0);
+
+  // Every query went through GenerateBatch, one call per whole round.
+  EXPECT_EQ(recorder.direct_calls(), 0);
+  EXPECT_EQ(recorder.dispatch_sizes(), ExpectedRoundSizes(*report, options));
+  EXPECT_GT(*std::max_element(recorder.dispatch_sizes().begin(),
+                              recorder.dispatch_sizes().end()),
+            5);
+  EXPECT_EQ(std::accumulate(recorder.dispatch_sizes().begin(),
+                            recorder.dispatch_sizes().end(), int64_t{0}),
+            report->queries);
+  EXPECT_EQ(report->queries, sim.num_queries());
+
+  // The wrapper is transparent: the same tuples as the bare simulator.
+  ExpectSameAcceptedTuples(RunBatchedRepair(/*threads=*/1, false).report,
+                           *report);
+}
+
+TEST(BatchingDeterminismTest, AcceptedTuplesBitIdenticalAcrossThreadCounts) {
+  // The round's one dispatch and in-order merge never depend on the
+  // worker count, so every width reproduces the serial run bit for bit.
+  const PipelineRun baseline = RunBatchedRepair(/*threads=*/1, false);
   ASSERT_GT(baseline.report.accepted, 0);
 
-  for (int fm_batch : {0, 8, 32}) {
-    for (int threads : {1, 2, 8}) {
-      const PipelineRun run = RunBatchedRepair(fm_batch, threads, false);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectSameAcceptedTuples(baseline.report, run.report);
-      EXPECT_EQ(baseline.synthetic, run.synthetic);
-    }
+  for (int threads : {2, 8}) {
+    const PipelineRun run = RunBatchedRepair(threads, false);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameAcceptedTuples(baseline.report, run.report);
+    EXPECT_EQ(baseline.synthetic, run.synthetic);
   }
 }
 
-TEST(BatchingDeterminismTest, MaskedFaultsPreserveTuplesAtEveryBatchSize) {
-  // The same matrix under a 30% injected transient-fault rate: the retry
-  // layer masks every fault (checkpointing the per-request RNG), so the
-  // batched runs still reproduce the fault-free baseline exactly.
-  const PipelineRun baseline =
-      RunBatchedRepair(/*fm_batch=*/1, /*threads=*/1, /*faults=*/false);
+TEST(BatchingDeterminismTest, MaskedFaultsPreserveTuplesAtEveryThreadCount) {
+  // The same run under a 30% injected transient-fault rate: the retry
+  // layer masks every fault inside the round's dispatch (checkpointing
+  // the per-request RNG), so the faulted runs still reproduce the
+  // fault-free baseline exactly.
+  const PipelineRun baseline = RunBatchedRepair(/*threads=*/1, false);
   ASSERT_GT(baseline.report.accepted, 0);
 
-  for (int fm_batch : {1, 8, 32}) {
-    for (int threads : {1, 2, 8}) {
-      const PipelineRun run = RunBatchedRepair(fm_batch, threads, true);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectSameAcceptedTuples(baseline.report, run.report);
-      EXPECT_EQ(baseline.synthetic, run.synthetic);
-      EXPECT_GT(run.report.faults.transport.faults_masked, 0);
-      EXPECT_EQ(run.report.faults.transport.failed_queries, 0);
-      EXPECT_EQ(run.report.faults.parked_entries(), 0);
-    }
+  for (int threads : {1, 2, 8}) {
+    const PipelineRun run = RunBatchedRepair(threads, true);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameAcceptedTuples(baseline.report, run.report);
+    EXPECT_EQ(baseline.synthetic, run.synthetic);
+    EXPECT_GT(run.report.faults.transport.faults_masked, 0);
+    EXPECT_EQ(run.report.faults.transport.failed_queries, 0);
+    EXPECT_EQ(run.report.faults.parked_entries(), 0);
   }
 }
 
-TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
+TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossThreadCounts) {
   // End to end with the multi-backend pool and the learned router: the
-  // router trains only on the serial merge path, so batching and thread
-  // count still cannot perturb routing or results.
-  auto run_with_pool = [](int fm_batch, int threads) {
+  // router trains only on the serial merge path, so the thread count
+  // still cannot perturb routing or results.
+  auto run_with_pool = [](int threads) {
     embedding::SimulatedEmbedder embedder;
     fm::EvaluatorPool evaluators(2024);
     fm::Corpus corpus =
@@ -497,7 +460,6 @@ TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
     options.seed = 11;
     options.num_threads = threads;
     options.rejection_batch = 32;
-    options.fm_batch_size = fm_batch;
     options.backend_router = fm::BackendRouterKind::kLinUcb;
     Chameleon system(pool.pool.get(), &embedder, &evaluators, options);
     auto report = system.RepairMinLevelMups(&corpus);
@@ -507,17 +469,11 @@ TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
     return run;
   };
 
-  const PipelineRun baseline = run_with_pool(/*fm_batch=*/1, /*threads=*/1);
+  const PipelineRun baseline = run_with_pool(/*threads=*/1);
   ASSERT_GT(baseline.report.accepted, 0);
-  for (int fm_batch : {8, 32}) {
-    for (int threads : {1, 8}) {
-      const PipelineRun run = run_with_pool(fm_batch, threads);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectSameAcceptedTuples(baseline.report, run.report);
-      EXPECT_EQ(baseline.synthetic, run.synthetic);
-    }
-  }
+  const PipelineRun run = run_with_pool(/*threads=*/8);
+  ExpectSameAcceptedTuples(baseline.report, run.report);
+  EXPECT_EQ(baseline.synthetic, run.synthetic);
 }
 
 /// Pinned outcome of the scripted-outage run below at one rejection_batch.

@@ -736,11 +736,18 @@ TEST(ObsPipelineTest, JournalHasWellFormedEventStructure) {
       "fm.retry",  "fm.parked", "fm.breaker",     "fm.batch",
       "run.end",   "tuple.accepted",              "tuple.rejected"};
   std::map<std::string, int> seen;
+  int64_t dispatched = 0;
   for (const std::string& line : lines) {
     const std::string type = type_of(line);
     EXPECT_NE(std::find(known.begin(), known.end(), type), known.end())
         << "unknown journal event type: " << type;
     ++seen[type];
+    if (type == "fm.batch") {
+      const std::string key = "\"size\":";
+      const size_t at = line.find(key);
+      ASSERT_NE(at, std::string::npos) << line;
+      dispatched += std::stoll(line.substr(at + key.size()));
+    }
   }
   EXPECT_EQ(seen["run.start"], 1);
   EXPECT_EQ(seen["run.end"], 1);
@@ -749,6 +756,9 @@ TEST(ObsPipelineTest, JournalHasWellFormedEventStructure) {
   // Every issued query journals one fm.query (parked ones included);
   // every evaluated candidate journals exactly one verdict.
   EXPECT_EQ(seen["fm.query"], run.report.queries + seen["fm.parked"]);
+  // Each round is one dispatch journalling its size, so the dispatched
+  // sizes add up to the issued queries.
+  EXPECT_EQ(dispatched, seen["fm.query"]);
   EXPECT_EQ(seen["tuple.accepted"] + seen["tuple.rejected"],
             run.report.queries);
   EXPECT_EQ(seen["tuple.accepted"], run.report.accepted);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <deque>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -604,27 +605,39 @@ TEST(PipelineDegradationTest, BriefOutageParksOnlyTheEntryItHit) {
   EXPECT_EQ(run.report.faults.parked_targets[0], run.report.plan[0].values);
 }
 
-TEST(PipelineDegradationTest, LegacyFatalModeStillAvailable) {
-  embedding::SimulatedEmbedder embedder;
-  fm::EvaluatorPool evaluators(2024);
-  fm::Corpus corpus =
-      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
-  fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
-                                   datasets::FeretFaceStyleFn(),
-                                   datasets::FeretScene(),
-                                   fm::SimulatedFoundationModel::Options());
-  fm::FlakyOptions flaky;
-  flaky.fail_from_query = 0;
-  fm::FlakyFoundationModel dead(&sim, flaky);
+/// Rejects every request as malformed: a terminal, non-transport code.
+class RejectingModel : public fm::FoundationModel {
+ public:
+  [[nodiscard]] util::Result<fm::GenerationResult> Generate(
+      const fm::GenerationRequest& /*request*/, util::Rng* /*rng*/) override {
+    RecordQuery();
+    return util::Status::InvalidArgument("malformed generation request");
+  }
+  double query_cost() const override { return 1.0; }
+};
 
-  ChameleonOptions options;
-  options.tau = 40;
-  options.seed = 11;
-  options.park_failing_entries = false;
-  Chameleon system(&dead, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&corpus);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), util::StatusCode::kUnavailable);
+TEST(PipelineDegradationTest, TerminalGenerationErrorAbortsTheRun) {
+  // Only transport codes park; a terminal code aborts the run with that
+  // status, whether it lands alone or among round-mates.
+  for (const int rejection_batch : {1, 4}) {
+    SCOPED_TRACE("rejection_batch=" + std::to_string(rejection_batch));
+    embedding::SimulatedEmbedder embedder;
+    fm::EvaluatorPool evaluators(2024);
+    fm::Corpus corpus =
+        *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+    RejectingModel model;
+
+    ChameleonOptions options;
+    options.tau = 40;
+    options.seed = 11;
+    options.rejection_batch = rejection_batch;
+    Chameleon system(&model, &embedder, &evaluators, options);
+    auto report = system.RepairMinLevelMups(&corpus);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidArgument);
+    // The run stopped at the first round.
+    EXPECT_EQ(model.num_queries(), rejection_batch);
+  }
 }
 
 }  // namespace

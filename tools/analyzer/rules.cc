@@ -123,9 +123,6 @@ void SeedProjectStatusApis(FunctionRegistry* registry) {
       "Generate",           // FoundationModel + Flaky/Resilient decorators
       "GenerateAccepted",   // core::Chameleon
       "RepairMinLevelMups", // core::Chameleon
-      "Enqueue",            // fm::BatchCoalescer
-      "Flush",              // fm::BatchCoalescer — a dropped flush status
-                            // silently loses the whole batch's failures
       "FromDataset",        // coverage::PatternCounter + IncrementalMupIndex
       "AddTuple",           // coverage::PatternCounter
       "Insert",             // coverage::IncrementalMupIndex — a dropped

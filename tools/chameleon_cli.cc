@@ -5,19 +5,22 @@
 //                        [--strategy=linucb|similar|random|noguide]
 //                        [--mask=accurate|moderate|imprecise]
 //                        [--alpha=0.1] [--nu=0.3] [--seed=S] [--out=DIR]
-//                        [--rejection-batch=N] [--batch-size=N]
-//                        [--batch-window=MS] [--backends=N]
-//                        [--router=greedy|linucb]
+//                        [--rejection-batch=N] [--backends=N]
+//                        [--router=greedy|linucb] [--incremental-coverage]
 //                        [--metrics] [--metrics-out=F] [--trace-out=F]
 //                        [--journal-out=F] [--openmetrics-out=F]
-//                        [--trace-json-out=F]
+//                        [--trace-json-out=F] [--request-id=ID]
 //   chameleon_cli plan   --dataset=feret|utkface --tau=N
-//                        [--algorithm=greedy|mingap|random]
+//                        [--algorithm=greedy|mingap|random] [--seed=S]
 //
 // `audit` reports the Maximal Uncovered Patterns; `plan` prints the
 // combination-selection plan without touching a foundation model;
 // `repair` runs the full pipeline against the simulated foundation model
 // and optionally saves the repaired corpus (CSV + PNM) to --out.
+// Each subcommand rejects flags it does not accept (exit 2), so a stale
+// script fails loudly instead of running with a flag silently ignored.
+// --rejection-batch sets the queries per rejection round; each round is
+// one batched foundation-model dispatch (DESIGN.md §11).
 //
 // Observability (DESIGN.md §9): any of --metrics / --metrics-out= /
 // --trace-out= / --journal-out= attaches an obs::Observability sink to
@@ -25,13 +28,16 @@
 // flags export metrics / spans / the run journal as JSONL files.
 // Instrumentation never changes which tuples are accepted.
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/chameleon.h"
@@ -98,6 +104,19 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
+  /// False (after naming the first offender on stderr) when any flag is
+  /// outside `accepted`.
+  bool AcceptsOnly(const char* command,
+                   std::initializer_list<std::string_view> accepted) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(accepted.begin(), accepted.end(), key) ==
+          accepted.end()) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", command, key.c_str());
+        return false;
+      }
+    }
+    return true;
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -153,6 +172,7 @@ std::vector<coverage::Mup> FindMups(const fm::Corpus& corpus, int64_t tau) {
 }
 
 int CmdAudit(const Flags& flags) {
+  if (!flags.AcceptsOnly("audit", {"dataset", "tau", "n"})) return 2;
   const embedding::SimulatedEmbedder embedder;
   LoadedCorpus loaded;
   if (!LoadDataset(flags, embedder, /*with_images=*/false, &loaded)) return 1;
@@ -173,6 +193,10 @@ int CmdAudit(const Flags& flags) {
 }
 
 int CmdPlan(const Flags& flags) {
+  if (!flags.AcceptsOnly("plan",
+                         {"dataset", "tau", "n", "algorithm", "seed"})) {
+    return 2;
+  }
   const embedding::SimulatedEmbedder embedder;
   LoadedCorpus loaded;
   if (!LoadDataset(flags, embedder, /*with_images=*/false, &loaded)) return 1;
@@ -213,11 +237,25 @@ int CmdPlan(const Flags& flags) {
 }
 
 int CmdRepair(const Flags& flags) {
-  const embedding::SimulatedEmbedder embedder;
-  LoadedCorpus loaded;
-  if (!LoadDataset(flags, embedder, /*with_images=*/true, &loaded)) return 1;
-
+  if (!flags.AcceptsOnly(
+          "repair",
+          {"dataset", "tau", "n", "seed", "alpha", "nu", "strategy", "mask",
+           "rejection-batch", "backends", "router", "incremental-coverage",
+           "metrics", "metrics-out", "trace-out", "journal-out",
+           "openmetrics-out", "trace-json-out", "request-id", "out",
+           "evaluator_seed"})) {
+    return 2;
+  }
   core::ChameleonOptions options;
+  // Queries per rejection round, one batched dispatch each (DESIGN.md
+  // §11). Checked before the world is built, as chameleond does.
+  options.rejection_batch = static_cast<int>(
+      flags.GetInt("rejection-batch", options.rejection_batch));
+  if (options.rejection_batch < 1) {
+    std::fprintf(stderr, "--rejection-batch must be >= 1\n");
+    return 2;
+  }
+
   options.tau = flags.GetInt("tau", 100);
   options.seed = flags.GetInt("seed", 99);
   options.rejection.quality_alpha = flags.GetDouble("alpha", 0.1);
@@ -248,13 +286,7 @@ int CmdRepair(const Flags& flags) {
     return 1;
   }
 
-  // Batched transport and the multi-backend pool (DESIGN.md §11). The
-  // transport batch can never exceed the rejection round, so raising
-  // --batch-size usually wants --rejection-batch raised with it.
-  options.rejection_batch = static_cast<int>(
-      flags.GetInt("rejection-batch", options.rejection_batch));
-  options.fm_batch_size = static_cast<int>(flags.GetInt("batch-size", 0));
-  options.batch_window_ms = flags.GetDouble("batch-window", 5.0);
+  // The multi-backend pool (DESIGN.md §11).
   const std::string router = flags.Get("router", "greedy");
   if (router == "greedy") {
     options.backend_router = fm::BackendRouterKind::kGreedyCost;
@@ -298,6 +330,11 @@ int CmdRepair(const Flags& flags) {
       }
     }
   }
+
+  const embedding::SimulatedEmbedder embedder;
+  LoadedCorpus loaded;
+  if (!LoadDataset(flags, embedder, /*with_images=*/true, &loaded)) return 1;
+
   obs::Observability observability;
   // --request-id tags every journal line and span with a stable id
   // (DESIGN.md §15) — the same id chameleond stamps on its side, which is
@@ -471,15 +508,13 @@ int Usage() {
                "usage: chameleon_cli <audit|plan|repair> [--flags]\n"
                "  audit  --dataset=feret|utkface --tau=N [--n=N]\n"
                "  plan   --dataset=... --tau=N "
-               "[--algorithm=greedy|mingap|random]\n"
+               "[--algorithm=greedy|mingap|random] [--seed=S]\n"
                "  repair --dataset=... --tau=N [--strategy=linucb|similar|"
                "random|noguide]\n"
                "         [--mask=accurate|moderate|imprecise] [--alpha=A] "
-               "[--nu=V] [--out=DIR]\n"
-               "         [--rejection-batch=N] [--batch-size=N] "
-               "[--batch-window=MS]\n"
-               "         [--backends=N] [--router=greedy|linucb] "
-               "[--incremental-coverage]\n"
+               "[--nu=V] [--seed=S] [--out=DIR]\n"
+               "         [--rejection-batch=N] [--backends=N] "
+               "[--router=greedy|linucb] [--incremental-coverage]\n"
                "         [--metrics] [--metrics-out=FILE] [--trace-out=FILE] "
                "[--journal-out=FILE]\n"
                "         [--openmetrics-out=FILE] [--trace-json-out=FILE] "
