@@ -1,10 +1,12 @@
-// Micro-benchmarks for the image substrate: face rendering, foreground
-// extraction, mask generation at each delineation level, and embedding.
+// Micro-benchmarks for the image substrate: face rendering (full and
+// guided), blur, dilation, foreground extraction, mask generation at each
+// delineation level, and embedding.
 
 #include <benchmark/benchmark.h>
 
 #include "src/embedding/simulated_embedder.h"
 #include "src/image/face_renderer.h"
+#include "src/image/filter.h"
 #include "src/image/mask_generator.h"
 #include "src/util/rng.h"
 
@@ -32,6 +34,41 @@ void BM_RenderFace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RenderFace)->Range(32, 256);
+
+// A guided FM query's render: 64 px, keeping only the Moderate mask of a
+// guide, at a typical guided artifact level.
+void BM_RenderFaceGuided(benchmark::State& state) {
+  const image::Image mask =
+      image::GenerateMask(MakeFace(64, 3), image::MaskLevel::kModerate);
+  util::Rng rng(1);
+  const image::FaceStyle style = image::MakeFaceStyle(0, 5, false, 0.5, &rng);
+  image::SceneStyle scene;
+  image::RenderOptions options;
+  options.size = 64;
+  options.artifact_level = 0.15;
+  options.keep = &mask;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(image::RenderFace(style, scene, options, &rng));
+  }
+}
+BENCHMARK(BM_RenderFaceGuided);
+
+void BM_GaussianBlur(benchmark::State& state) {
+  const image::Image face = MakeFace(static_cast<int>(state.range(0)), 5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(image::GaussianBlur(face, 0.6));
+  }
+}
+BENCHMARK(BM_GaussianBlur)->Arg(64);
+
+// The Moderate level's dilation of a 64 px face outline (radius 6).
+void BM_DilateDisc(benchmark::State& state) {
+  const image::Image outline = image::ExtractForeground(MakeFace(64, 3));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(image::DilateDisc(outline, 6));
+  }
+}
+BENCHMARK(BM_DilateDisc);
 
 void BM_ExtractForeground(benchmark::State& state) {
   const image::Image face = MakeFace(static_cast<int>(state.range(0)), 2);

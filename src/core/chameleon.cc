@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/coverage/pattern_counter.h"
@@ -17,16 +18,22 @@ namespace {
 /// One submitted request awaiting its transport result. Select runs
 /// serially at submission; generation and label draws come from two
 /// streams forked off the master rng at submission time, so the dispatch
-/// cannot change any draw. The request's guide_values/mask pointers alias
-/// `choice`/`mask`, and the round's BatchItem points at `request` and
-/// `gen_rng`, so the struct must stay put once submitted — the
-/// submission vector reserves the whole round up front.
+/// cannot change any draw. The request's guide_values pointer aliases
+/// `choice`, and the round's BatchItem points at `request` and `gen_rng`,
+/// so the struct must stay put once submitted — the submission vector
+/// reserves the whole round up front.
 struct PendingGeneration {
   GuideChoice choice;
   fm::GenerationRequest request;
-  image::Image mask;
   util::Rng gen_rng;
   util::Rng label_rng;
+};
+
+/// What a guided query needs from its guide image, extracted once per
+/// guide: guides are immutable, and a run serves many queries per guide.
+struct GuideAnalysis {
+  image::Image mask;
+  double foreground_fraction = 0.0;
 };
 
 /// One generated candidate awaiting evaluation. Embed and the rejection
@@ -131,6 +138,9 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
   }
 
   bool parked = false;
+  // Per guide payload id. Node-based, so requests may point into it
+  // while later rounds insert more guides.
+  std::unordered_map<int64_t, GuideAnalysis> guides;
   // Accepted values of the current round, replayed into the streaming MUP
   // index after the merge (incremental_coverage mode only).
   std::vector<std::vector<int>> merged_accepted;
@@ -207,10 +217,18 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
         // Stable for the round: the corpus only grows at the merge below.
         const image::Image& guide_image =
             corpus->images[guide_tuple.payload_id];
-        sub.mask = image::GenerateMask(guide_image, options_.mask_level);
+        auto [it, inserted] = guides.try_emplace(guide_tuple.payload_id);
+        GuideAnalysis& guide = it->second;
+        if (inserted) {
+          const image::Image foreground = image::ExtractForeground(guide_image);
+          guide.mask =
+              image::MaskFromForeground(foreground, options_.mask_level);
+          guide.foreground_fraction = foreground.NonZeroFraction();
+        }
         sub.request.guide = &guide_image;
         sub.request.guide_values = &sub.choice.guide_values;
-        sub.request.mask = &sub.mask;
+        sub.request.mask = &guide.mask;
+        sub.request.guide_foreground_fraction = guide.foreground_fraction;
       }
       sub.gen_rng = rng->Fork();
       sub.label_rng = rng->Fork();

@@ -35,9 +35,20 @@ std::vector<double> SimulatedEmbedder::RawFeatures(const image::Image& image) {
   std::vector<double> features;
   features.reserve(kRawDim);
 
-  // Downsampled luminance grid (area means).
+  // Luminance plane, computed once per pixel for the grid and gradient.
   const int w = image.width();
   const int h = image.height();
+  std::vector<double> lum(static_cast<size_t>(w) * h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      lum[static_cast<size_t>(y) * w + x] = image.Luminance(x, y);
+    }
+  }
+  auto luminance = [&](int x, int y) {
+    return lum[static_cast<size_t>(y) * w + x];
+  };
+
+  // Downsampled luminance grid (area means).
   for (int gy = 0; gy < kGrid; ++gy) {
     const int y0 = gy * h / kGrid;
     const int y1 = (gy + 1) * h / kGrid;
@@ -48,7 +59,7 @@ std::vector<double> SimulatedEmbedder::RawFeatures(const image::Image& image) {
       int count = 0;
       for (int y = y0; y < y1; ++y) {
         for (int x = x0; x < x1; ++x) {
-          sum += image.Luminance(x, y);
+          sum += luminance(x, y);
           ++count;
         }
       }
@@ -116,8 +127,8 @@ std::vector<double> SimulatedEmbedder::RawFeatures(const image::Image& image) {
   double grad = 0.0;
   for (int y = 0; y < h - 1; ++y) {
     for (int x = 0; x < w - 1; ++x) {
-      grad += std::fabs(image.Luminance(x + 1, y) - image.Luminance(x, y)) +
-              std::fabs(image.Luminance(x, y + 1) - image.Luminance(x, y));
+      grad += std::fabs(luminance(x + 1, y) - luminance(x, y)) +
+              std::fabs(luminance(x, y + 1) - luminance(x, y));
     }
   }
   features.push_back(grad / (static_cast<double>(w) * h * 255.0));

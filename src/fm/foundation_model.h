@@ -35,6 +35,10 @@ struct GenerationRequest {
   const std::vector<int>* guide_values = nullptr;
   /// 1-channel mask, 255 = regenerate (required when guide is set).
   const image::Image* mask = nullptr;
+  /// NonZeroFraction of the guide's ExtractForeground (default options),
+  /// when the caller already has it; -1 = unknown, and a model that needs
+  /// it extracts the foreground itself.
+  double guide_foreground_fraction = -1.0;
 };
 
 /// A generated tuple. `latent_realism` is the simulator's hidden ground

@@ -161,8 +161,10 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   // --- Guided generation ---
   // Realism: base minus mask-tightness and semantic-edit penalties.
   const double mask_fraction = request.mask->NonZeroFraction();
-  const image::Image guide_fg = image::ExtractForeground(*request.guide);
-  const double fg_fraction = guide_fg.NonZeroFraction();
+  const double fg_fraction =
+      request.guide_foreground_fraction >= 0.0
+          ? request.guide_foreground_fraction
+          : image::ExtractForeground(*request.guide).NonZeroFraction();
   const double tightness =
       mask_fraction > 1e-6
           ? std::clamp(fg_fraction / mask_fraction, 0.0, 1.0)
@@ -214,6 +216,10 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   image::RenderOptions render;
   render.size = options_.image_size;
   render.artifact_level = std::clamp(1.0 - realism, 0.0, 1.0);
+  // The composite keeps only masked pixels, so only those are rendered
+  // exactly. A mask of another size than the render (a guide of another
+  // geometry) makes RenderFace ignore `keep` and render in full.
+  render.keep = request.mask;
   const image::Image regenerated = image::RenderFace(style, scene, render, rng);
   result.image = image::CompositeWithMask(*request.guide, regenerated,
                                           *request.mask);

@@ -184,11 +184,17 @@ Image RenderFace(const FaceStyle& face, const SceneStyle& scene,
                  cy + rng->NextGaussian(0, face_ry), eye_r * (1.0 + a),
                  Darken(face.skin, 0.7));
     }
-    AddGaussianNoise(&img, 18.0 * a, rng);
+    // The blur reads this noise up to its radius away from a kept pixel.
+    const int reach = GaussianBlurRadius(scene.blur_sigma);
+    const Image blur_keep =
+        options.keep != nullptr ? DilateBox(*options.keep, reach) : Image();
+    AddGaussianNoise(&img, 18.0 * a, rng,
+                     options.keep != nullptr ? &blur_keep : nullptr);
   }
 
   Image blurred = GaussianBlur(img, scene.blur_sigma);
-  AddGaussianNoise(&blurred, 2.0, rng);  // Sensor grain on every photo.
+  // Sensor grain on every photo.
+  AddGaussianNoise(&blurred, 2.0, rng, options.keep);
   return blurred;
 }
 

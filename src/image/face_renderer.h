@@ -42,6 +42,12 @@ struct RenderOptions {
   /// 0 = clean; larger values add the noise/banding/feature-misplacement
   /// artifacts characteristic of low-quality generations.
   double artifact_level = 0.0;
+  /// Optional 1-channel region the caller keeps (not owned): noise is
+  /// added only where it can reach a non-zero `keep` pixel, and every
+  /// other noise draw is skipped with Rng::SkipGaussian. Pixels inside
+  /// `keep` and the rng's end state equal a full render; pixels outside
+  /// are unspecified. Ignored (full render) unless it is size x size.
+  const Image* keep = nullptr;
 };
 
 /// Renders a portrait-style synthetic face (gradient background, elliptic

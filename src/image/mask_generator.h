@@ -27,9 +27,15 @@ const char* MaskLevelName(MaskLevel level);
 inline constexpr double kModerateDilationFraction = 0.10;
 
 /// Produces the regeneration mask (1-channel, 255 = regenerate) for a
-/// guide image at the requested delineation level.
+/// guide image at the requested delineation level:
+/// MaskFromForeground(ExtractForeground(guide, fg_options), level).
 Image GenerateMask(const Image& guide, MaskLevel level,
                    const ForegroundOptions& fg_options = {});
+
+/// The regeneration mask at `level` for a guide whose ExtractForeground
+/// output is `foreground` (same geometry as the guide). Lets a caller
+/// that also needs the foreground extract it once.
+Image MaskFromForeground(const Image& foreground, MaskLevel level);
 
 }  // namespace chameleon::image
 

@@ -55,6 +55,12 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
 double Rng::NextGaussian() {
   if (has_spare_) {
     has_spare_ = false;
+    if (spare_deferred_) {
+      spare_deferred_ = false;
+      const double radius = std::sqrt(-2.0 * std::log(spare_u1_));
+      const double theta = 2.0 * M_PI * spare_u2_;
+      return radius * std::sin(theta);
+    }
     return spare_;
   }
   double u1 = 0.0;
@@ -67,6 +73,22 @@ double Rng::NextGaussian() {
   spare_ = radius * std::sin(theta);
   has_spare_ = true;
   return radius * std::cos(theta);
+}
+
+void Rng::SkipGaussian() {
+  if (has_spare_) {
+    has_spare_ = false;
+    spare_deferred_ = false;
+    return;
+  }
+  double u1 = 0.0;
+  do {
+    u1 = NextDouble();
+  } while (u1 <= 0.0);
+  spare_u1_ = u1;
+  spare_u2_ = NextDouble();
+  has_spare_ = true;
+  spare_deferred_ = true;
 }
 
 double Rng::NextGaussian(double mean, double stddev) {

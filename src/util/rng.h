@@ -29,6 +29,14 @@ class Rng {
   /// Standard normal via Box-Muller (cached spare).
   double NextGaussian();
 
+  /// Advances the stream exactly as a discarded NextGaussian() would: the
+  /// same NextU64 draws (including the u1 <= 0 retry) and the same spare
+  /// parity, so every later draw is unchanged. Skipping the first half of
+  /// a pair keeps its uniforms and computes the spare only if a later
+  /// NextGaussian() asks for it, with NextGaussian's own expression; a
+  /// skipped pair therefore costs no log/sin/cos at all.
+  void SkipGaussian();
+
   /// Gaussian with the given mean and standard deviation.
   double NextGaussian(double mean, double stddev);
 
@@ -49,6 +57,11 @@ class Rng {
   uint64_t s_[4];
   bool has_spare_ = false;
   double spare_ = 0.0;
+  /// Set when the pending spare came from SkipGaussian and is still
+  /// unevaluated: spare_u1_/spare_u2_ hold the pair's uniforms.
+  bool spare_deferred_ = false;
+  double spare_u1_ = 0.0;
+  double spare_u2_ = 0.0;
 };
 
 }  // namespace chameleon::util
