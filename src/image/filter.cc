@@ -6,6 +6,50 @@
 #include <vector>
 
 namespace chameleon::image {
+namespace {
+
+// Dilates a 1-channel mask by a shape symmetric about its center whose
+// half-width `dy` rows off center is half_width[|dy|]: a pixel is set iff
+// some row within reach has a set pixel inside the shape's chord at that
+// row, which is exactly the scatter of the shape over every set pixel.
+Image DilateRows(const Image& mask, const std::vector<int>& half_width) {
+  const int radius = static_cast<int>(half_width.size()) - 1;
+  const int w = mask.width();
+  const int h = mask.height();
+  // nearest[y * w + x]: distance from x to the nearest set pixel of row y
+  // (more than any half-width when the row has none).
+  const int far = w + radius + 1;
+  std::vector<int> nearest(static_cast<size_t>(w) * h);
+  for (int y = 0; y < h; ++y) {
+    int* row = nearest.data() + static_cast<size_t>(y) * w;
+    int last = -far;
+    for (int x = 0; x < w; ++x) {
+      if (mask.at(x, y, 0) != 0) last = x;
+      row[x] = x - last;
+    }
+    last = w + far;
+    for (int x = w - 1; x >= 0; --x) {
+      if (mask.at(x, y, 0) != 0) last = x;
+      row[x] = std::min(row[x], last - x);
+    }
+  }
+  Image out(w, h, 1, 0);
+  for (int y = 0; y < h; ++y) {
+    uint8_t* dst = out.mutable_pixels().data() + static_cast<size_t>(y) * w;
+    for (int dy = -radius; dy <= radius; ++dy) {
+      const int sy = y + dy;
+      if (sy < 0 || sy >= h) continue;
+      const int reach = half_width[std::abs(dy)];
+      const int* row = nearest.data() + static_cast<size_t>(sy) * w;
+      for (int x = 0; x < w; ++x) {
+        if (row[x] <= reach) dst[x] = 255;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 int GaussianBlurRadius(double sigma) {
   if (sigma <= 0.0) return 0;
@@ -111,51 +155,6 @@ void AddBanding(Image* image, int period, double amplitude) {
     }
   }
 }
-
-namespace {
-
-// Dilates a 1-channel mask by a shape symmetric about its center whose
-// half-width `dy` rows off center is half_width[|dy|]: a pixel is set iff
-// some row within reach has a set pixel inside the shape's chord at that
-// row, which is exactly the scatter of the shape over every set pixel.
-Image DilateRows(const Image& mask, const std::vector<int>& half_width) {
-  const int radius = static_cast<int>(half_width.size()) - 1;
-  const int w = mask.width();
-  const int h = mask.height();
-  // nearest[y * w + x]: distance from x to the nearest set pixel of row y
-  // (more than any half-width when the row has none).
-  const int far = w + radius + 1;
-  std::vector<int> nearest(static_cast<size_t>(w) * h);
-  for (int y = 0; y < h; ++y) {
-    int* row = nearest.data() + static_cast<size_t>(y) * w;
-    int last = -far;
-    for (int x = 0; x < w; ++x) {
-      if (mask.at(x, y, 0) != 0) last = x;
-      row[x] = x - last;
-    }
-    last = w + far;
-    for (int x = w - 1; x >= 0; --x) {
-      if (mask.at(x, y, 0) != 0) last = x;
-      row[x] = std::min(row[x], last - x);
-    }
-  }
-  Image out(w, h, 1, 0);
-  for (int y = 0; y < h; ++y) {
-    uint8_t* dst = out.mutable_pixels().data() + static_cast<size_t>(y) * w;
-    for (int dy = -radius; dy <= radius; ++dy) {
-      const int sy = y + dy;
-      if (sy < 0 || sy >= h) continue;
-      const int reach = half_width[std::abs(dy)];
-      const int* row = nearest.data() + static_cast<size_t>(sy) * w;
-      for (int x = 0; x < w; ++x) {
-        if (row[x] <= reach) dst[x] = 255;
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Image DilateDisc(const Image& mask, int radius) {
   if (radius <= 0) return mask;

@@ -184,9 +184,9 @@ run_bench_smoke() {
   local dir="build-ci-bench"
   local threshold="${BENCH_SMOKE_THRESHOLD:-0.25}"
   local smoke_benches=(bench_micro_greedy bench_micro_linucb
-                       bench_micro_ocsvm bench_obs bench_batching
-                       bench_daemon bench_incremental_coverage
-                       bench_micro_coverage)
+                       bench_micro_ocsvm bench_micro_image bench_obs
+                       bench_batching bench_daemon
+                       bench_incremental_coverage bench_micro_coverage)
   echo "==== [bench-smoke] configure (Release) ===="
   cmake -B "${dir}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
