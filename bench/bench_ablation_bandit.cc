@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       if (members.empty()) continue;
       const auto& guide_tuple =
           corpus->dataset.tuple(members[rng.NextBounded(members.size())]);
-      const image::Image& guide = corpus->images[guide_tuple.payload_id];
+      const image::Image& guide = corpus->image(guide_tuple.payload_id);
       const image::Image mask =
           image::GenerateMask(guide, image::MaskLevel::kModerate);
 

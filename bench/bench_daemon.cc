@@ -3,7 +3,10 @@
 // shared worker pool at 1 / 8 / 64 concurrent requests. Traffic is the
 // micro corpus with a small query budget, so an iteration measures the
 // daemon's multiplexing overhead plus real (virtual-time) repair work,
-// not image rendering.
+// not image rendering. A FERET pair sets the first request on a fresh
+// daemon (which builds the dataset's world snapshot) against requests
+// served from an already-built snapshot — a per-request figure that
+// does not depend on any traffic mix.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +36,17 @@ daemon::RepairRequestSpec BenchSpec(const std::string& id) {
   return spec;
 }
 
+/// A FERET repair at tau 30 (49 queries, 31 accepted; the default tau
+/// leaves FERET fully covered), single-threaded inside the request.
+daemon::RepairRequestSpec FeretSpec(const std::string& id) {
+  daemon::RepairRequestSpec spec;
+  spec.id = id;
+  spec.dataset = daemon::DatasetKind::kFeret;
+  spec.tau = 30;
+  spec.num_threads = 1;
+  return spec;
+}
+
 /// In-process daemon over a PipePair, serving for the benchmark's
 /// lifetime; requests go through the same frame codec production uses.
 class BenchDaemon {
@@ -54,13 +68,16 @@ class BenchDaemon {
     serve_thread_.join();
   }
 
-  /// Submits `count` repairs and blocks until every report is back.
-  /// Returns the total fm queries the reports account for (the unit of
-  /// throughput) and accumulates consumed virtual milliseconds.
-  int64_t RunBatch(int count, double* virtual_ms) {
+  /// Submits `count` repairs (`make_spec` builds each from a fresh id)
+  /// and blocks until every report is back. Returns the total fm queries
+  /// the reports account for (the unit of throughput) and accumulates
+  /// consumed virtual milliseconds.
+  int64_t RunBatch(int count, double* virtual_ms,
+                   daemon::RepairRequestSpec (*make_spec)(const std::string&) =
+                       BenchSpec) {
     for (int i = 0; i < count; ++i) {
       const std::string payload = daemon::RenderRepairRequest(
-          BenchSpec("bench-" + std::to_string(next_id_++)));
+          make_spec("bench-" + std::to_string(next_id_++)));
       if (!daemon::WriteFrame(pipe_.client(), payload).ok()) return -1;
     }
     int64_t queries = 0;
@@ -144,5 +161,39 @@ void BM_DaemonRepairBatchTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_DaemonRepairBatchTelemetry)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/// One FERET request on a fresh daemon per iteration: the daemon start,
+/// the world build (render and embed 756 tuples, train the OCSVM) and
+/// the repair.
+void BM_DaemonFeretColdRequest(benchmark::State& state) {
+  double virtual_ms = 0.0;
+  for (auto _ : state) {
+    BenchDaemon bench_daemon(1);
+    if (bench_daemon.RunBatch(1, &virtual_ms, FeretSpec) < 0) {
+      state.SkipWithError("daemon request failed");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_DaemonFeretColdRequest)->Unit(benchmark::kMillisecond);
+
+/// The same request on a daemon whose FERET snapshot was built before
+/// timing: the repair of a copy-on-write overlay alone. Expected far
+/// below the cold case; their ratio is the per-request world cost.
+void BM_DaemonFeretWarmRequest(benchmark::State& state) {
+  BenchDaemon bench_daemon(1);
+  double virtual_ms = 0.0;
+  if (bench_daemon.RunBatch(1, &virtual_ms, FeretSpec) < 0) {
+    state.SkipWithError("warm-up request failed");
+    return;
+  }
+  for (auto _ : state) {
+    if (bench_daemon.RunBatch(1, &virtual_ms, FeretSpec) < 0) {
+      state.SkipWithError("daemon request failed");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_DaemonFeretWarmRequest)->Unit(benchmark::kMillisecond);
 
 }  // namespace

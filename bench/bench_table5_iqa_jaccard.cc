@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     auto choice = selector.Select(corpus->dataset, target, &rng);
     if (!choice.ok() || !choice->has_guide) continue;
     const auto& guide_tuple = corpus->dataset.tuple(choice->tuple_index);
-    const image::Image& guide = corpus->images[guide_tuple.payload_id];
+    const image::Image& guide = corpus->image(guide_tuple.payload_id);
     const image::Image mask = image::GenerateMask(
         guide, levels[generated.size() % 3]);
     fm::GenerationRequest request;
@@ -125,10 +125,14 @@ int main(int argc, char** argv) {
 
   // Train the IQA tools on the real corpus and calibrate each threshold
   // to reject exactly |human_rejects| images.
-  auto niqe = iqa::Niqe::Train(corpus->images);
-  auto brisque = iqa::Brisque::Train(corpus->images);
+  std::vector<image::Image> real_images;
+  for (size_t i = 0; i < corpus->num_images(); ++i) {
+    real_images.push_back(corpus->image(static_cast<int64_t>(i)));
+  }
+  auto niqe = iqa::Niqe::Train(real_images);
+  auto brisque = iqa::Brisque::Train(real_images);
   util::Rng nima_rng(77);
-  auto nima = iqa::Nima::Train(corpus->images, &nima_rng);
+  auto nima = iqa::Nima::Train(real_images, &nima_rng);
   if (!niqe.ok() || !brisque.ok() || !nima.ok()) {
     std::fprintf(stderr, "IQA training failed\n");
     return 1;

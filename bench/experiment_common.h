@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,33 @@ inline std::string BenchJsonNumber(double value) {
   return buffer;
 }
 
+/// The measuring host's shape as a JSON object — hardware threads,
+/// compiler and CPU model — so a baseline says what it was measured on.
+inline std::string BenchHostJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      cpu = line.substr(colon + 2);
+    }
+    break;
+  }
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " + std::to_string(__GNUC__) + "." +
+                               std::to_string(__GNUC_MINOR__);
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + BenchJsonEscape(compiler) +
+         "\", \"cpu\": \"" + BenchJsonEscape(cpu) + "\"}";
+}
+
 /// Accumulates cases and renders/writes the schema-v1 report. The git
 /// SHA is injected by the harness via the CHAMELEON_GIT_SHA environment
 /// variable (tools/ci.sh sets it) so binaries never shell out to git.
@@ -123,6 +151,7 @@ class BenchJsonReport {
     out += std::string("  \"build_type\": \"") + build_type + "\",\n";
     out += std::string("  \"smoke\": ") + (smoke_ ? "true" : "false") +
            ",\n";
+    out += "  \"host\": " + BenchHostJson() + ",\n";
     out += "  \"config\": {";
     for (size_t i = 0; i < config_.size(); ++i) {
       if (i > 0) out += ", ";

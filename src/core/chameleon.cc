@@ -216,7 +216,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
         }
         // Stable for the round: the corpus only grows at the merge below.
         const image::Image& guide_image =
-            corpus->images[guide_tuple.payload_id];
+            corpus->image(guide_tuple.payload_id);
         auto [it, inserted] = guides.try_emplace(guide_tuple.payload_id);
         GuideAnalysis& guide = it->second;
         if (inserted) {
@@ -535,15 +535,19 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
     return util::Status::FailedPrecondition(
         "could not estimate p: corpus has no real tuples with payloads");
   }
-  std::vector<std::vector<double>> real_embeddings;
-  for (const auto& t : corpus->dataset.tuples()) {
-    if (!t.synthetic && !t.embedding.empty()) {
-      real_embeddings.push_back(t.embedding);
-    }
-  }
-  auto sampler = RejectionSampler::Train(real_embeddings, evaluators_,
-                                         report.estimated_p,
-                                         options_.rejection);
+  const std::vector<std::vector<double>> real_embeddings =
+      corpus->RealEmbeddings();
+  const bool adopted =
+      distribution_model_ != nullptr &&
+      distribution_model_->stats().num_points ==
+          static_cast<int64_t>(real_embeddings.size());
+  auto sampler =
+      adopted ? RejectionSampler::FromModel(distribution_model_, evaluators_,
+                                            report.estimated_p,
+                                            options_.rejection)
+              : RejectionSampler::Train(real_embeddings, evaluators_,
+                                        report.estimated_p,
+                                        options_.rejection);
   if (!sampler.ok()) return sampler.status();
   if (obs != nullptr) {
     train_span->End();

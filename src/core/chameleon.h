@@ -2,6 +2,7 @@
 #define CHAMELEON_CORE_CHAMELEON_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/foundation_model.h"
 #include "src/image/mask_generator.h"
+#include "src/svm/one_class_svm.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -216,6 +218,17 @@ class Chameleon {
     incremental_index_ = std::move(index);
   }
 
+  /// Hands this system a distribution-test OCSVM already trained on the
+  /// corpus's real-tuple embeddings (fm::Corpus::RealEmbeddings) under
+  /// options().rejection.svm, shared read-only. The serving layer trains
+  /// one per dataset world, so a request skips the training; p is still
+  /// estimated per run from the run's rng. RepairMinLevelMups retrains
+  /// when the model's training-set size differs from the corpus's real
+  /// embedding count — a model of another corpus is never trusted.
+  void AdoptDistributionModel(std::shared_ptr<const svm::OneClassSvm> model) {
+    distribution_model_ = std::move(model);
+  }
+
   /// The maintained index, or null before the first incremental repair.
   /// Exposed so tests can check it against a fresh FindMups.
   const coverage::IncrementalMupIndex* incremental_index() const {
@@ -230,6 +243,8 @@ class Chameleon {
   /// Engaged only in incremental_coverage mode: the corpus's maintained
   /// MUP frontier, patched with every merged batch of accepted tuples.
   std::optional<coverage::IncrementalMupIndex> incremental_index_;
+  /// Set only by AdoptDistributionModel.
+  std::shared_ptr<const svm::OneClassSvm> distribution_model_;
 };
 
 }  // namespace chameleon::core

@@ -1,6 +1,7 @@
 #ifndef CHAMELEON_CORE_REJECTION_SAMPLER_H_
 #define CHAMELEON_CORE_REJECTION_SAMPLER_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,15 @@ class RejectionSampler {
       const fm::EvaluatorPool* evaluators, double real_label_rate_p,
       const RejectionSamplerOptions& options);
 
+  /// A sampler over an already-trained OCSVM, shared read-only (the
+  /// serving layer trains one per dataset world and reuses it across
+  /// requests). Equivalent to Train when `svm_model` is what Train would
+  /// have trained under `options.svm`.
+  [[nodiscard]] static util::Result<RejectionSampler> FromModel(
+      std::shared_ptr<const svm::OneClassSvm> svm_model,
+      const fm::EvaluatorPool* evaluators, double real_label_rate_p,
+      const RejectionSamplerOptions& options);
+
   /// The data distribution test alone.
   bool DistributionTest(const std::vector<double>& embedding) const;
 
@@ -70,12 +80,12 @@ class RejectionSampler {
   RejectionOutcome Evaluate(const std::vector<double>& embedding,
                             double latent_realism, util::Rng* rng) const;
 
-  const svm::OneClassSvm& svm_model() const { return svm_; }
+  const svm::OneClassSvm& svm_model() const { return *svm_; }
   double real_label_rate() const { return p_; }
   const RejectionSamplerOptions& options() const { return options_; }
 
  private:
-  RejectionSampler(svm::OneClassSvm svm_model,
+  RejectionSampler(std::shared_ptr<const svm::OneClassSvm> svm_model,
                    const fm::EvaluatorPool* evaluators, double p,
                    RejectionSamplerOptions options)
       : svm_(std::move(svm_model)),
@@ -83,7 +93,7 @@ class RejectionSampler {
         p_(p),
         options_(options) {}
 
-  svm::OneClassSvm svm_;
+  std::shared_ptr<const svm::OneClassSvm> svm_;
   const fm::EvaluatorPool* evaluators_;
   double p_;
   RejectionSamplerOptions options_;

@@ -120,15 +120,16 @@ util::Status SaveCorpus(const Corpus& corpus, const std::string& directory,
         WriteTextFile(directory + "/realism.csv", out.str()));
   }
 
-  if (include_images && !corpus.images.empty()) {
+  if (include_images && corpus.num_images() > 0) {
     filesystem::create_directories(directory + "/images", ec);
     if (ec) {
       return util::Status::IoError("cannot create images directory: " +
                                    ec.message());
     }
-    for (size_t i = 0; i < corpus.images.size(); ++i) {
-      CHAMELEON_RETURN_NOT_OK(image::WritePnm(
-          corpus.images[i], ImagePath(directory, static_cast<int64_t>(i))));
+    for (size_t i = 0; i < corpus.num_images(); ++i) {
+      const int64_t id = static_cast<int64_t>(i);
+      CHAMELEON_RETURN_NOT_OK(
+          image::WritePnm(corpus.image(id), ImagePath(directory, id)));
     }
   }
   return util::Status::Ok();
@@ -191,7 +192,7 @@ util::Result<Corpus> LoadCorpus(const std::string& directory) {
     for (size_t i = 0; i < corpus.realism.size(); ++i) {
       auto img = image::ReadPnm(ImagePath(directory, static_cast<int64_t>(i)));
       if (!img.ok()) return img.status();
-      corpus.images.push_back(std::move(*img));
+      corpus.AddPayloadImage(std::move(*img));
     }
   }
 
@@ -246,7 +247,7 @@ util::Result<Corpus> LoadCorpus(const std::string& directory) {
       }
       if (have_images &&
           (tuple.payload_id < 0 ||
-           tuple.payload_id >= static_cast<int64_t>(corpus.images.size()))) {
+           tuple.payload_id >= static_cast<int64_t>(corpus.num_images()))) {
         return util::Status::IoError("tuple payload id out of range: " + line);
       }
       if (!have_images) tuple.payload_id = -1;

@@ -221,8 +221,10 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   // geometry) makes RenderFace ignore `keep` and render in full.
   render.keep = request.mask;
   const image::Image regenerated = image::RenderFace(style, scene, render, rng);
-  result.image = image::CompositeWithMask(*request.guide, regenerated,
-                                          *request.mask);
+  auto composite =
+      image::CompositeWithMask(*request.guide, regenerated, *request.mask);
+  if (!composite.ok()) return composite.status();
+  result.image = *std::move(composite);
   return result;
 }
 

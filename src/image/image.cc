@@ -1,5 +1,7 @@
 #include "src/image/image.h"
 
+#include <string>
+
 namespace chameleon::image {
 
 void Image::SetPixel(int x, int y, uint8_t r, uint8_t g, uint8_t b) {
@@ -60,7 +62,20 @@ double Image::NonZeroFraction() const {
          (static_cast<double>(width_) * height_);
 }
 
-Image CompositeWithMask(const Image& bg, const Image& fg, const Image& mask) {
+util::Result<Image> CompositeWithMask(const Image& bg, const Image& fg,
+                                      const Image& mask) {
+  if (bg.width() > fg.width() || bg.height() > fg.height() ||
+      bg.channels() > fg.channels() || bg.width() > mask.width() ||
+      bg.height() > mask.height() ||
+      (bg.width() > 0 && bg.height() > 0 && mask.channels() < 1)) {
+    return util::Status::InvalidArgument(
+        "composite background " + std::to_string(bg.width()) + "x" +
+        std::to_string(bg.height()) + "x" + std::to_string(bg.channels()) +
+        " exceeds its foreground " + std::to_string(fg.width()) + "x" +
+        std::to_string(fg.height()) + "x" + std::to_string(fg.channels()) +
+        " or mask " + std::to_string(mask.width()) + "x" +
+        std::to_string(mask.height()));
+  }
   Image out = bg;
   for (int y = 0; y < bg.height(); ++y) {
     for (int x = 0; x < bg.width(); ++x) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/status.h"
+
 namespace chameleon::image {
 
 /// 8-bit raster with 1 (grayscale) or 3 (RGB) channels, row-major,
@@ -65,9 +67,14 @@ class Image {
   std::vector<uint8_t> pixels_;
 };
 
-/// Composites `fg` over `bg` where `mask` (1-channel, same size) is
-/// non-zero: out = mask ? fg : bg. All three must share dimensions.
-Image CompositeWithMask(const Image& bg, const Image& fg, const Image& mask);
+/// Composites `fg` over `bg` where `mask` (channel 0) is non-zero:
+/// out = mask ? fg : bg, with `bg`'s geometry. A larger `fg` or `mask`
+/// is read through its top-left `bg`-sized crop. InvalidArgument when
+/// `bg` is wider, taller or has more channels than `fg`, or is wider or
+/// taller than `mask`: the composite would read past their pixels.
+[[nodiscard]] util::Result<Image> CompositeWithMask(const Image& bg,
+                                                    const Image& fg,
+                                                    const Image& mask);
 
 }  // namespace chameleon::image
 

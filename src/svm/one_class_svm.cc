@@ -169,6 +169,7 @@ util::Result<OneClassSvm> OneClassSvm::Train(
   }
 
   OneClassSvmStats stats;
+  stats.num_points = static_cast<int64_t>(n);
   std::vector<double> row_i;
   std::vector<double> row_j;
   constexpr double kTau = 1e-12;

@@ -42,6 +42,8 @@ struct OneClassSvmOptions {
 
 /// Diagnostics from training.
 struct OneClassSvmStats {
+  /// Training-set size.
+  int64_t num_points = 0;
   int64_t iterations = 0;
   int num_support_vectors = 0;
   int num_margin_support_vectors = 0;

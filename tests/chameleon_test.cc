@@ -1,6 +1,10 @@
 // Integration tests: the full Chameleon repair pipeline over simulated
 // corpora, foundation model, embedder and evaluators.
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/core/chameleon.h"
 #include "src/coverage/mup_finder.h"
@@ -11,6 +15,7 @@
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/simulated_foundation_model.h"
 #include "src/obs/observability.h"
+#include "src/svm/one_class_svm.h"
 
 namespace chameleon::core {
 namespace {
@@ -109,7 +114,7 @@ TEST_F(ChameleonFeretTest, SyntheticTuplesMatchTheirTargets) {
     if (!t.synthetic) continue;
     EXPECT_FALSE(t.embedding.empty());
     ASSERT_GE(t.payload_id, 0);
-    ASSERT_LT(t.payload_id, static_cast<int64_t>(corpus_.images.size()));
+    ASSERT_LT(t.payload_id, static_cast<int64_t>(corpus_.num_images()));
     // Its values must match some planned combination.
     bool planned = false;
     for (const auto& entry : report->plan) {
@@ -261,6 +266,50 @@ TEST(ChameleonDeterminismTest, BatchOfOneIsTheLegacySerialLoop) {
   ExpectReportsBitIdentical(legacy, threaded);
   EXPECT_EQ(legacy_synthetic, threaded_synthetic);
   EXPECT_GT(legacy.accepted, 0);
+}
+
+TEST_F(ChameleonFeretTest, AdoptedDistributionModelIsTrustedOnlyWhenItFits) {
+  ChameleonOptions options;
+  options.tau = 40;
+  options.seed = 11;
+  options.rejection_batch = 4;
+  options.num_threads = 1;
+  auto run = [&](std::shared_ptr<const svm::OneClassSvm> adopted) {
+    fm::Corpus corpus = corpus_;
+    fm::SimulatedFoundationModel model(
+        corpus.dataset.schema(), datasets::FeretFaceStyleFn(),
+        datasets::FeretScene(), fm::SimulatedFoundationModel::Options());
+    Chameleon system(&model, &embedder_, &evaluators_, options);
+    if (adopted != nullptr) system.AdoptDistributionModel(std::move(adopted));
+    auto report = system.RepairMinLevelMups(&corpus);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return *report;
+  };
+  auto train = [](const std::vector<std::vector<double>>& points,
+                  const svm::OneClassSvmOptions& svm_options) {
+    auto model = svm::OneClassSvm::Train(points, svm_options);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    return std::make_shared<const svm::OneClassSvm>(*std::move(model));
+  };
+  const RepairReport cold = run(nullptr);
+  const std::vector<std::vector<double>> real = corpus_.RealEmbeddings();
+
+  // The model the run would train itself: adopting it changes nothing.
+  ExpectReportsBitIdentical(cold, run(train(real, options.rejection.svm)));
+
+  // A model of another corpus (another training-set size) is retrained.
+  const std::vector<std::vector<double>> half(real.begin(),
+                                              real.begin() + real.size() / 2);
+  ExpectReportsBitIdentical(cold, run(train(half, options.rejection.svm)));
+
+  // A fitting model really is used: a looser OCSVM moves the
+  // distribution test's verdicts.
+  svm::OneClassSvmOptions loose = options.rejection.svm;
+  loose.nu = 0.05;
+  const RepairReport adopted_loose = run(train(real, loose));
+  ASSERT_FALSE(adopted_loose.records.empty());
+  EXPECT_NE(adopted_loose.records[0].decision_value,
+            cold.records[0].decision_value);
 }
 
 TEST(ChameleonInstrumentationContractTest, MetricIdentitiesHoldAtEveryThreadCount) {

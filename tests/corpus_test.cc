@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/datasets/feret.h"
@@ -31,7 +32,7 @@ TEST(CorpusTest, AddWiresPayloadIds) {
       corpus.Add(MakeTuple(1, 1), image::Image(4, 4, 3), 0.8).ok());
   EXPECT_EQ(corpus.dataset.tuple(0).payload_id, 0);
   EXPECT_EQ(corpus.dataset.tuple(1).payload_id, 1);
-  EXPECT_EQ(corpus.images.size(), 2u);
+  EXPECT_EQ(corpus.num_images(), 2u);
   EXPECT_EQ(corpus.realism.size(), 2u);
   EXPECT_DOUBLE_EQ(corpus.realism[1], 0.8);
 }
@@ -42,7 +43,7 @@ TEST(CorpusTest, AddRejectsInvalidTuples) {
   EXPECT_FALSE(
       corpus.Add(MakeTuple(0, 99), image::Image(4, 4, 3), 0.9).ok());
   // The failed add must not leave an orphaned payload.
-  EXPECT_TRUE(corpus.images.empty());
+  EXPECT_EQ(corpus.num_images(), 0u);
 }
 
 TEST(CorpusTest, AnnotationOnlyHasNoPayload) {
@@ -50,7 +51,7 @@ TEST(CorpusTest, AnnotationOnlyHasNoPayload) {
   corpus.dataset = data::Dataset(datasets::FeretSchema());
   ASSERT_TRUE(corpus.AddAnnotationOnly(MakeTuple(0, 1)).ok());
   EXPECT_EQ(corpus.dataset.tuple(0).payload_id, -1);
-  EXPECT_TRUE(corpus.images.empty());
+  EXPECT_EQ(corpus.num_images(), 0u);
 }
 
 TEST(CorpusTest, RealTupleRealismSkipsSynthetic) {
@@ -67,6 +68,52 @@ TEST(CorpusTest, RealTupleRealismSkipsSynthetic) {
   const auto realism = corpus.RealTupleRealism();
   ASSERT_EQ(realism.size(), 1u);
   EXPECT_DOUBLE_EQ(realism[0], 0.9);
+}
+
+TEST(CorpusTest, RealEmbeddingsSkipSyntheticAndMissing) {
+  Corpus corpus;
+  corpus.dataset = data::Dataset(datasets::FeretSchema());
+  data::Tuple real = MakeTuple(0, 0);
+  real.embedding = {1.0, 2.0};
+  data::Tuple synthetic = MakeTuple(0, 1);
+  synthetic.embedding = {3.0, 4.0};
+  synthetic.synthetic = true;
+  ASSERT_TRUE(corpus.AddAnnotationOnly(std::move(real)).ok());
+  ASSERT_TRUE(corpus.AddAnnotationOnly(std::move(synthetic)).ok());
+  ASSERT_TRUE(corpus.AddAnnotationOnly(MakeTuple(1, 1)).ok());
+  const auto embeddings = corpus.RealEmbeddings();
+  ASSERT_EQ(embeddings.size(), 1u);
+  EXPECT_EQ(embeddings[0], (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(CorpusTest, CopySharesBasePixelsAndOwnsItsAppends) {
+  Corpus base;
+  base.dataset = data::Dataset(datasets::FeretSchema());
+  ASSERT_TRUE(base.Add(MakeTuple(0, 0), image::Image(4, 4, 3, 7), 0.9).ok());
+  ASSERT_TRUE(base.Add(MakeTuple(1, 1), image::Image(4, 4, 3, 9), 0.8).ok());
+
+  // A copy is an overlay: the same pixel buffers, not a second image set.
+  Corpus overlay = base;
+  ASSERT_EQ(overlay.num_images(), 2u);
+  for (int64_t id = 0; id < 2; ++id) {
+    EXPECT_EQ(overlay.image(id).pixels().data(), base.image(id).pixels().data())
+        << id;
+  }
+
+  // Appending to the overlay leaves the base exactly as it was.
+  data::Tuple synthetic = MakeTuple(0, 1);
+  synthetic.synthetic = true;
+  ASSERT_TRUE(overlay.Add(std::move(synthetic), image::Image(4, 4, 3, 42), 0.5)
+                  .ok());
+  EXPECT_EQ(overlay.num_images(), 3u);
+  EXPECT_EQ(overlay.dataset.size(), 3u);
+  EXPECT_EQ(overlay.image(2).at(0, 0, 0), 42);
+  EXPECT_EQ(base.num_images(), 2u);
+  EXPECT_EQ(base.dataset.size(), 2u);
+  EXPECT_EQ(base.realism, (std::vector<double>{0.9, 0.8}));
+  EXPECT_EQ(base.image(0), image::Image(4, 4, 3, 7));
+  EXPECT_EQ(base.image(1), image::Image(4, 4, 3, 9));
+  EXPECT_EQ(base.image(0).pixels().data(), overlay.image(0).pixels().data());
 }
 
 TEST(CorpusTest, EmbeddingsViewSkipsMissing) {

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "src/core/chameleon.h"
 #include "src/datasets/feret.h"
+#include "src/datasets/utkface.h"
 #include "src/embedding/simulated_embedder.h"
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/flaky_foundation_model.h"
@@ -166,16 +167,38 @@ class FlakyTransport : public Transport {
   std::atomic<int64_t> reads_{0};
 };
 
-/// Runs the identical micro repair directly against core::Chameleon —
-/// the reference digest every daemon-served clean run must match.
-std::string DirectMicroDigest(const RepairRequestSpec& spec) {
+/// Runs `spec`'s repair directly against core::Chameleon on the cold
+/// path: the dataset world is built here from its public builders (no
+/// WorldSnapshot), and the run trains its own OCSVM and, in incremental
+/// mode, builds its own MUP index. The reference every daemon-served
+/// clean run must match; `obs` (optional) is attached to the run.
+util::Result<core::RepairReport> RunDirect(const RepairRequestSpec& spec,
+                                           obs::Observability* obs) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
-  auto corpus = MakeMicroCorpus(&embedder);
-  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
-  fm::SimulatedFoundationModel sim(
-      corpus->dataset.schema(), datasets::FeretFaceStyleFn(),
-      datasets::FeretScene(), fm::SimulatedFoundationModel::Options());
+  util::Result<fm::Corpus> corpus =
+      util::Status::InvalidArgument("unknown dataset");
+  fm::FaceStyleFn style = datasets::FeretFaceStyleFn();
+  image::SceneStyle scene = datasets::FeretScene();
+  switch (spec.dataset) {
+    case DatasetKind::kMicro:
+      corpus = MakeMicroCorpus(&embedder);
+      break;
+    case DatasetKind::kFeret:
+      corpus = datasets::MakeFeret(&embedder, datasets::FeretOptions());
+      break;
+    case DatasetKind::kUtkFace: {
+      datasets::ChallengeOptions challenge;
+      challenge.render.image_size = 32;
+      corpus = datasets::MakeUtkFaceChallengeSubset(&embedder, challenge);
+      style = datasets::UtkFaceStyleFn();
+      scene = datasets::UtkFaceScene();
+      break;
+    }
+  }
+  if (!corpus.ok()) return corpus.status();
+  fm::SimulatedFoundationModel sim(corpus->dataset.schema(), style, scene,
+                                   fm::SimulatedFoundationModel::Options());
   fm::ResilientFoundationModel resilient(&sim, spec.resilience);
   core::ChameleonOptions options;
   options.tau = spec.tau;
@@ -183,8 +206,17 @@ std::string DirectMicroDigest(const RepairRequestSpec& spec) {
   options.max_queries = spec.max_queries;
   options.rejection_batch = spec.rejection_batch;
   options.num_threads = spec.num_threads;
+  options.incremental_coverage = spec.incremental;
+  options.observability = obs;
   core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&*corpus);
+  return system.RepairMinLevelMups(&*corpus);
+}
+
+/// The digest of RunDirect(spec): what every daemon-served clean run of
+/// the same dataset, tau, seed and caps must report, at any num_threads
+/// and in either coverage mode.
+std::string DirectDigest(const RepairRequestSpec& spec) {
+  auto report = RunDirect(spec, nullptr);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return report.ok() ? ReportDigest(*report) : "";
 }
@@ -225,7 +257,7 @@ TEST(DaemonTest, PingPongAndCleanShutdownOnEof) {
 
 TEST(DaemonTest, SingleRepairMatchesDirectRun) {
   const RepairRequestSpec spec = MicroSpec("r1");
-  const std::string expected = DirectMicroDigest(spec);
+  const std::string expected = DirectDigest(spec);
   ASSERT_FALSE(expected.empty());
 
   RunningDaemon server;
@@ -241,7 +273,7 @@ TEST(DaemonTest, SingleRepairMatchesDirectRun) {
 }
 
 TEST(DaemonTest, FaultMaskedRepairBitIdenticalToCleanRun) {
-  const std::string clean = DirectMicroDigest(MicroSpec("direct"));
+  const std::string clean = DirectDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
 
   RunningDaemon server;
@@ -507,7 +539,7 @@ TEST(DaemonTest, MidRequestDisconnectStillFinishesAndJournals) {
 // ---------------------------------------------------------------------------
 
 TEST(DaemonTest, FlakyTransportChaosEightConcurrent) {
-  const std::string clean = DirectMicroDigest(MicroSpec("direct"));
+  const std::string clean = DirectDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
 
   PipePair pipe;
@@ -547,7 +579,7 @@ TEST(DaemonTest, FlakyTransportChaosEightConcurrent) {
 }
 
 TEST(DaemonTest, ConcurrentIsolationOneClientAtFullFaultRate) {
-  const std::string clean = DirectMicroDigest(MicroSpec("direct"));
+  const std::string clean = DirectDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
 
   DaemonOptions options;
@@ -640,6 +672,96 @@ TEST(DaemonTest, ResumeReparksInterruptedRequests) {
 }
 
 // ---------------------------------------------------------------------------
+// Shared world snapshots (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+/// A request per dataset that does real repair work: the micro default,
+/// FERET at tau 30 (the default tau leaves FERET fully covered), and
+/// utkface capped at 480 queries — identity holds under any cap, and the
+/// uncapped utkface run (1920 queries) would dominate the sanitizer jobs.
+RepairRequestSpec DatasetSpec(DatasetKind kind, const std::string& id) {
+  RepairRequestSpec spec = MicroSpec(id);
+  spec.dataset = kind;
+  if (kind == DatasetKind::kFeret) spec.tau = 30;
+  if (kind == DatasetKind::kUtkFace) spec.max_queries = 480;
+  return spec;
+}
+
+TEST(DaemonTest, SnapshotBuildAndHitMatchDirectColdRun) {
+  // Every dataset × coverage mode × repair thread count, each on a fresh
+  // daemon: the first request builds the world snapshot, the second
+  // repairs an overlay of it, and both must report the digest of one
+  // cold direct run (serial, full-recompute coverage).
+  for (const DatasetKind kind :
+       {DatasetKind::kMicro, DatasetKind::kFeret, DatasetKind::kUtkFace}) {
+    const std::string cold = DirectDigest(DatasetSpec(kind, "direct"));
+    ASSERT_FALSE(cold.empty()) << DatasetKindName(kind);
+    if (kind == DatasetKind::kMicro) {
+      EXPECT_EQ(cold, "cc25d15a6aa5bbf1");
+    } else if (kind == DatasetKind::kFeret) {
+      EXPECT_EQ(cold, "20cbb0977c2b9ffd");
+    }
+    for (const bool incremental : {false, true}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::string(DatasetKindName(kind)) +
+                     " incremental=" + (incremental ? "1" : "0") +
+                     " threads=" + std::to_string(threads));
+        RunningDaemon server;
+        server.Start();
+        for (const char* id : {"build", "hit"}) {
+          RepairRequestSpec spec = DatasetSpec(kind, id);
+          spec.incremental = incremental;
+          spec.num_threads = threads;
+          SendPayload(server.client(), RenderRepairRequest(spec));
+          obsctl::JsonValue report = AwaitFrame(server.client(), "report", id);
+          EXPECT_EQ(report.StringOr("records_digest", ""), cold) << id;
+        }
+        server.Finish();
+        const DaemonStats stats = server.daemon().stats();
+        EXPECT_EQ(stats.world_builds, 1);
+        EXPECT_EQ(stats.index_warm_misses, incremental ? 1 : 0);
+        EXPECT_EQ(stats.index_warm_hits, incremental ? 1 : 0);
+      }
+    }
+  }
+}
+
+TEST(DaemonTest, ConcurrentFirstRequestsBuildTheWorldOnce) {
+  // Eight FERET requests land before any world exists: one builds the
+  // snapshot, the other seven wait for it, and all repair identical
+  // overlays of it.
+  const std::string cold =
+      DirectDigest(DatasetSpec(DatasetKind::kFeret, "direct"));
+  ASSERT_FALSE(cold.empty());
+  DaemonOptions options;
+  options.num_threads = 8;
+  RunningDaemon server(options);
+  server.Start();
+  for (int i = 0; i < 8; ++i) {
+    // Appended piecewise: `"f" + std::to_string(i)` trips GCC 12's
+    // false-positive -Wrestrict.
+    std::string id = "f";
+    id += std::to_string(i);
+    RepairRequestSpec spec = DatasetSpec(DatasetKind::kFeret, id);
+    spec.incremental = i % 2 == 1;
+    SendPayload(server.client(), RenderRepairRequest(spec));
+  }
+  std::map<std::string, obsctl::JsonValue> reports =
+      CollectReports(server.client(), 8);
+  ASSERT_EQ(reports.size(), 8u);
+  for (auto& [id, report] : reports) {
+    EXPECT_EQ(report.StringOr("records_digest", ""), cold) << id;
+  }
+  server.Finish();
+  const DaemonStats stats = server.daemon().stats();
+  EXPECT_EQ(stats.world_builds, 1);
+  // The four incremental requests share one base index build too.
+  EXPECT_EQ(stats.index_warm_misses, 1);
+  EXPECT_EQ(stats.index_warm_hits, 3);
+  EXPECT_EQ(stats.active, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Streaming coverage: warm incremental MUP indexes (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
@@ -648,7 +770,7 @@ TEST(DaemonTest, WarmIncrementalIndexBitIdenticalToDirectRun) {
   // first builds the warm index (miss), the second clones it (hit), and
   // both digests must equal the direct non-incremental run — the warm
   // path is pure amortization, never a result change.
-  const std::string clean = DirectMicroDigest(MicroSpec("direct"));
+  const std::string clean = DirectDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
 
   RunningDaemon server;
@@ -701,7 +823,7 @@ TEST(DaemonTest, ResumedDaemonRebuildsIncrementalIndexFromScratch) {
   SendPayload(server.client(), RenderRepairRequest(fresh));
   obsctl::JsonValue report = AwaitFrame(server.client(), "report", "fresh");
   EXPECT_EQ(report.StringOr("records_digest", ""),
-            DirectMicroDigest(MicroSpec("direct")));
+            DirectDigest(MicroSpec("direct")));
   EXPECT_EQ(report.StringOr("status", ""), "ok");
 
   server.Finish();
@@ -709,6 +831,8 @@ TEST(DaemonTest, ResumedDaemonRebuildsIncrementalIndexFromScratch) {
   EXPECT_EQ(stats.resumed, 1);
   EXPECT_EQ(stats.index_warm_hits, 0);
   EXPECT_EQ(stats.index_warm_misses, 1);
+  // Snapshots are process memory too: the resumed daemon built its own.
+  EXPECT_EQ(stats.world_builds, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -721,36 +845,19 @@ struct StandaloneArtifacts {
   std::string digest;
 };
 
-/// Runs the identical micro repair directly against core::Chameleon with
-/// an Observability tagged `spec.id` — the reference artifacts every
+/// Runs the identical repair directly (RunDirect) with an Observability
+/// tagged `spec.id` — the reference artifacts every
 /// telemetry-enabled daemon run must reproduce byte-for-byte. The span
 /// sink collects spans in end order, exactly like the daemon's tee.
-StandaloneArtifacts StandaloneMicroTelemetry(const RepairRequestSpec& spec) {
+StandaloneArtifacts StandaloneTelemetry(const RepairRequestSpec& spec) {
   StandaloneArtifacts out;
-  embedding::SimulatedEmbedder embedder;
-  fm::EvaluatorPool evaluators(2024);
-  auto corpus = MakeMicroCorpus(&embedder);
-  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
-  if (!corpus.ok()) return out;
-  fm::SimulatedFoundationModel sim(
-      corpus->dataset.schema(), datasets::FeretFaceStyleFn(),
-      datasets::FeretScene(), fm::SimulatedFoundationModel::Options());
-  fm::ResilientFoundationModel resilient(&sim, spec.resilience);
   obs::Observability observability;
   observability.set_request_id(spec.id);
   observability.tracer.SetSpanSink(
       [&out, &spec](const obs::SpanRecord& span) {
         out.span_lines.push_back(obs::SpanToJson(span, spec.id));
       });
-  core::ChameleonOptions options;
-  options.tau = spec.tau;
-  options.seed = spec.seed;
-  options.max_queries = spec.max_queries;
-  options.rejection_batch = spec.rejection_batch;
-  options.num_threads = spec.num_threads;
-  options.observability = &observability;
-  core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&*corpus);
+  auto report = RunDirect(spec, &observability);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   out.journal_lines = observability.journal.Lines();
   if (report.ok()) out.digest = ReportDigest(*report);
@@ -769,7 +876,7 @@ TEST(DaemonTest, TelemetryJournalByteIdenticalToStandalone) {
   for (const int threads : {1, 2, 8}) {
     RepairRequestSpec spec = MicroSpec("tele" + std::to_string(threads));
     spec.num_threads = threads;
-    const StandaloneArtifacts expected = StandaloneMicroTelemetry(spec);
+    const StandaloneArtifacts expected = StandaloneTelemetry(spec);
     ASSERT_FALSE(expected.journal_lines.empty());
     ASSERT_FALSE(expected.span_lines.empty());
 
@@ -811,8 +918,8 @@ TEST(DaemonTest, ConcurrentTelemetryDemuxesPerRequest) {
   RepairRequestSpec spec_a = MicroSpec("mux-a");
   RepairRequestSpec spec_b = MicroSpec("mux-b");
   spec_b.seed = 17;
-  const StandaloneArtifacts expected_a = StandaloneMicroTelemetry(spec_a);
-  const StandaloneArtifacts expected_b = StandaloneMicroTelemetry(spec_b);
+  const StandaloneArtifacts expected_a = StandaloneTelemetry(spec_a);
+  const StandaloneArtifacts expected_b = StandaloneTelemetry(spec_b);
 
   const std::string journal_path = testing::TempDir() + "/daemon_mux.jsonl";
   std::remove(journal_path.c_str());
@@ -838,6 +945,46 @@ TEST(DaemonTest, ConcurrentTelemetryDemuxesPerRequest) {
         rollup.id == "mux-a" ? expected_a : expected_b;
     EXPECT_EQ(rollup.journal_lines, expected.journal_lines) << rollup.id;
     EXPECT_EQ(rollup.span_lines, expected.span_lines) << rollup.id;
+  }
+}
+
+TEST(DaemonTest, WarmSnapshotTelemetryByteIdenticalToStandalone) {
+  // Requests served from an already-built FERET snapshot (adopted OCSVM,
+  // shared pixels, cloned or freshly built base index) still journal and
+  // trace exactly what a standalone cold run does — the sampler.train
+  // span included.
+  const std::string journal_path =
+      testing::TempDir() + "/daemon_tele_warm_feret.jsonl";
+  std::remove(journal_path.c_str());
+  DaemonOptions options;
+  options.journal_path = journal_path;
+  options.telemetry = true;
+  RunningDaemon server(options);
+  server.Start();
+  std::map<std::string, StandaloneArtifacts> expected;
+  for (const char* id : {"warmup", "warm-full", "warm-incr"}) {
+    RepairRequestSpec spec = DatasetSpec(DatasetKind::kFeret, id);
+    spec.incremental = std::string(id) == "warm-incr";
+    spec.num_threads = 2;
+    expected[id] = StandaloneTelemetry(spec);
+    SendPayload(server.client(), RenderRepairRequest(spec));
+    obsctl::JsonValue report = AwaitFrame(server.client(), "report", id);
+    EXPECT_EQ(report.StringOr("records_digest", ""), expected[id].digest)
+        << id;
+  }
+  server.Finish();
+  EXPECT_EQ(server.daemon().stats().world_builds, 1);
+
+  auto aggregate = obsctl::AggregateDaemonJournal(ReadWholeFile(journal_path));
+  ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
+  ASSERT_EQ(aggregate->requests.size(), 3u);
+  EXPECT_TRUE(aggregate->AllContractsHold());
+  for (const obsctl::RequestRollup& rollup : aggregate->requests) {
+    ASSERT_FALSE(expected[rollup.id].journal_lines.empty()) << rollup.id;
+    EXPECT_EQ(rollup.journal_lines, expected[rollup.id].journal_lines)
+        << rollup.id;
+    EXPECT_EQ(rollup.span_lines, expected[rollup.id].span_lines)
+        << rollup.id;
   }
 }
 

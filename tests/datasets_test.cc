@@ -42,7 +42,7 @@ TEST(FeretTest, CorpusMatchesCountsAnnotationOnly) {
   auto corpus = MakeFeret(&embedder, options);
   ASSERT_TRUE(corpus.ok());
   EXPECT_EQ(corpus->dataset.size(), 756u);
-  EXPECT_TRUE(corpus->images.empty());
+  EXPECT_EQ(corpus->num_images(), 0u);
   EXPECT_EQ(corpus->dataset.CountMatching(
                 data::Pattern({data::Pattern::kUnspecified, kFeretBlack})),
             40);
@@ -53,7 +53,7 @@ TEST(FeretTest, RenderedCorpusHasPayloadsAndEmbeddings) {
   FeretOptions options;
   auto corpus = MakeFeret(&embedder, options);
   ASSERT_TRUE(corpus.ok());
-  EXPECT_EQ(corpus->images.size(), 756u);
+  EXPECT_EQ(corpus->num_images(), 756u);
   EXPECT_EQ(corpus->realism.size(), 756u);
   for (const auto& t : corpus->dataset.tuples()) {
     EXPECT_EQ(t.embedding.size(), static_cast<size_t>(embedder.dim()));

@@ -147,6 +147,29 @@ TEST_F(SimulatedFmTest, GuidedGenerationKeepsUnmaskedPixels) {
   }
 }
 
+TEST_F(SimulatedFmTest, GuideLargerThanRenderIsInvalidArgument) {
+  // A 96 px guide on the default 64 px render: the composite would read
+  // past the render (a heap-buffer-overflow under ASan before the
+  // geometry check). Generate must surface the check's status.
+  util::Rng rng(6);
+  const std::vector<int> guide_values = {0, datasets::kFeretWhite};
+  const image::FaceStyle style =
+      datasets::FeretFaceStyleFn()(guide_values, &rng);
+  image::RenderOptions render;
+  render.size = 96;
+  const image::Image guide =
+      image::RenderFace(style, datasets::FeretScene(), render, &rng);
+  const image::Image mask =
+      image::GenerateMask(guide, image::MaskLevel::kModerate);
+  GenerationRequest request;
+  request.target_values = {0, datasets::kFeretBlack};
+  request.guide = &guide;
+  request.guide_values = &guide_values;
+  request.mask = &mask;
+  auto result = model_.Generate(request, &rng);
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST_F(SimulatedFmTest, TighterMasksCostRealism) {
   util::Rng rng(5);
   stats::RunningStats accurate_realism;
@@ -260,7 +283,7 @@ TEST(CorpusIoTest, RoundTripsFullCorpus) {
   ASSERT_TRUE(loaded.ok());
 
   ASSERT_EQ(loaded->dataset.size(), corpus.dataset.size());
-  ASSERT_EQ(loaded->images.size(), corpus.images.size());
+  ASSERT_EQ(loaded->num_images(), corpus.num_images());
   for (size_t i = 0; i < corpus.dataset.size(); ++i) {
     const auto& original = corpus.dataset.tuple(i);
     const auto& restored = loaded->dataset.tuple(i);
@@ -271,8 +294,8 @@ TEST(CorpusIoTest, RoundTripsFullCorpus) {
     for (size_t e = 0; e < original.embedding.size(); ++e) {
       EXPECT_NEAR(restored.embedding[e], original.embedding[e], 1e-6);
     }
-    EXPECT_EQ(loaded->images[original.payload_id],
-              corpus.images[original.payload_id]);
+    EXPECT_EQ(loaded->image(original.payload_id),
+              corpus.image(original.payload_id));
   }
   // Schema round-trips too.
   EXPECT_EQ(loaded->dataset.schema().num_attributes(),
@@ -293,7 +316,7 @@ TEST(CorpusIoTest, AnnotationOnlyRoundTrip) {
   auto loaded = LoadCorpus(dir);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->dataset.size(), 1u);
-  EXPECT_TRUE(loaded->images.empty());
+  EXPECT_EQ(loaded->num_images(), 0u);
   EXPECT_EQ(loaded->dataset.tuple(0).values, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(loaded->dataset.tuple(0).payload_id, -1);
 }

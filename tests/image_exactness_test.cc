@@ -100,12 +100,14 @@ class FeretWorld : public ::testing::Test {
 
 TEST_F(FeretWorld, ImagesAndEmbeddingsArePinned) {
   uint64_t images = kFnvOffset;
-  for (const image::Image& img : world_->images) images = HashImage(img, images);
+  for (size_t i = 0; i < world_->num_images(); ++i) {
+    images = HashImage(world_->image(static_cast<int64_t>(i)), images);
+  }
   uint64_t embeddings = kFnvOffset;
   for (const auto& e : world_->Embeddings()) {
     embeddings = HashDoubles(e, embeddings);
   }
-  EXPECT_EQ(world_->images.size(), 756u);
+  EXPECT_EQ(world_->num_images(), 756u);
   EXPECT_EQ(Hex(images), "bb86e9f002f9c581");
   EXPECT_EQ(Hex(embeddings), "5c9413263d808cac");
 }
@@ -184,8 +186,10 @@ TEST_F(FeretWorld, MasksArePinned) {
                          {image::MaskLevel::kImprecise, "47d58b3ea6b227c4"}};
   for (const Case& c : kCases) {
     uint64_t hash = kFnvOffset;
-    for (size_t i = 0; i < world_->images.size(); i += 9) {
-      hash = HashImage(image::GenerateMask(world_->images[i], c.level), hash);
+    for (size_t i = 0; i < world_->num_images(); i += 9) {
+      hash = HashImage(
+          image::GenerateMask(world_->image(static_cast<int64_t>(i)), c.level),
+          hash);
     }
     // A 24 px guide exercises the smaller dilation radius.
     util::Rng rng(7);
@@ -207,9 +211,9 @@ TEST_F(FeretWorld, GuidedGenerationsArePinned) {
 
   // 64 px guide on a 64 px render: the composite keeps the masked region.
   uint64_t full = kFnvOffset;
-  for (size_t i = 0; i < world_->images.size(); i += 63) {
+  for (size_t i = 0; i < world_->num_images(); i += 63) {
     const data::Tuple& guide = world_->dataset.tuple(i);
-    const image::Image& guide_image = world_->images[guide.payload_id];
+    const image::Image& guide_image = world_->image(guide.payload_id);
     const image::Image mask =
         image::GenerateMask(guide_image, image::MaskLevel::kModerate);
     fm::GenerationRequest request;
@@ -566,7 +570,7 @@ TEST(RenderKeepDifferential, MismatchedKeepRendersInFull) {
 TEST_F(FeretWorld, KnownForegroundFractionMatchesExtraction) {
   fm::SimulatedFoundationModel model = MakeModel();
   const data::Tuple& guide = world_->dataset.tuple(100);
-  const image::Image& guide_image = world_->images[guide.payload_id];
+  const image::Image& guide_image = world_->image(guide.payload_id);
   const image::Image foreground = image::ExtractForeground(guide_image);
   const image::Image mask =
       image::MaskFromForeground(foreground, image::MaskLevel::kModerate);

@@ -1,5 +1,6 @@
 #include <cstdio>
 #include <filesystem>
+#include <tuple>
 
 #include "gtest/gtest.h"
 #include "src/image/draw.h"
@@ -72,9 +73,43 @@ TEST(ImageTest, CompositeWithMask) {
   Image fg(2, 2, 3, 200);
   Image mask(2, 2, 1, 0);
   mask.at(1, 0, 0) = 255;
-  const Image out = CompositeWithMask(bg, fg, mask);
-  EXPECT_EQ(out.at(1, 0, 0), 200);
-  EXPECT_EQ(out.at(0, 0, 0), 0);
+  auto out = CompositeWithMask(bg, fg, mask);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->at(1, 0, 0), 200);
+  EXPECT_EQ(out->at(0, 0, 0), 0);
+}
+
+TEST(ImageTest, CompositeCropsLargerForegroundIntoSmallerBackground) {
+  // A 4 px render composited into a 2 px guide keeps the render's
+  // top-left 2x2 crop.
+  Image bg(2, 2, 3, 0);
+  Image fg(4, 4, 3, 0);
+  fg.at(1, 1, 2) = 77;
+  fg.at(3, 3, 2) = 99;
+  Image mask(2, 2, 1, 255);
+  auto out = CompositeWithMask(bg, fg, mask);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->width(), 2);
+  EXPECT_EQ(out->at(1, 1, 2), 77);
+}
+
+TEST(ImageTest, CompositeRejectsBackgroundLargerThanForegroundOrMask) {
+  // Each case would read past a buffer (an ASan heap-buffer-overflow
+  // before the check existed): 96 px guide on a 64 px render, a mask
+  // smaller than the guide, an RGB guide over a grayscale render.
+  const Image guide(96, 96, 3, 10);
+  const Image render(64, 64, 3, 200);
+  const Image guide_mask(96, 96, 1, 255);
+  const Image render_mask(64, 64, 1, 255);
+  for (const auto& [bg, fg, mask] :
+       {std::make_tuple(&guide, &render, &guide_mask),
+        std::make_tuple(&guide, &guide, &render_mask)}) {
+    auto out = CompositeWithMask(*bg, *fg, *mask);
+    EXPECT_EQ(out.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  const Image gray(64, 64, 1, 200);
+  EXPECT_EQ(CompositeWithMask(render, gray, render_mask).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(DrawTest, FillRectClipsToBounds) {

@@ -6,12 +6,6 @@
 #include <utility>
 
 #include "src/core/chameleon.h"
-#include "src/coverage/incremental_mup.h"
-#include "src/data/dataset.h"
-#include "src/datasets/feret.h"
-#include "src/datasets/synthetic_corpus.h"
-#include "src/datasets/utkface.h"
-#include "src/embedding/simulated_embedder.h"
 #include "src/fm/corpus.h"
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/flaky_foundation_model.h"
@@ -19,109 +13,34 @@
 #include "src/obs/export.h"
 #include "src/obs/observability.h"
 #include "src/obs/trace.h"
-#include "src/util/rng.h"
 #include "tools/chameleond/frame.h"
 #include "tools/obsctl/json.h"
 
 namespace chameleon::daemon {
 namespace {
 
-/// Everything a request needs besides the model: its own corpus plus the
-/// simulator's style/scene hooks for that corpus's schema.
-struct RequestWorld {
-  fm::Corpus corpus;
-  fm::FaceStyleFn style;
-  image::SceneStyle scene;
-};
-
-}  // namespace
-
-/// Middle Eastern is absent entirely and Hispanic/Asian are thin,
-/// mirroring the paper's FERET skew in miniature. Built fresh per
-/// request from a fixed seed, so two requests with the same spec always
-/// repair bit-identical corpora.
-util::Result<fm::Corpus> MakeMicroCorpus(const embedding::Embedder* embedder) {
-  fm::Corpus corpus;
-  corpus.dataset = data::Dataset(datasets::FeretSchema());
-  datasets::RenderSpec spec;
-  spec.image_size = 24;
-  const datasets::CombinationCounts counts = {
-      {{0, datasets::kFeretWhite}, 30},    {{1, datasets::kFeretWhite}, 30},
-      {{0, datasets::kFeretBlack}, 12},    {{1, datasets::kFeretBlack}, 12},
-      {{0, datasets::kFeretAsian}, 5},     {{1, datasets::kFeretAsian}, 5},
-      {{0, datasets::kFeretHispanic}, 3},  {{1, datasets::kFeretHispanic}, 3},
-  };
-  util::Rng rng(4242);
-  CHAMELEON_RETURN_NOT_OK(datasets::FillCorpus(
-      &corpus, counts, datasets::FeretFaceStyleFn(), datasets::FeretScene(),
-      embedder, spec, &rng));
-  return corpus;
-}
-
-namespace {
-
-util::Result<RequestWorld> BuildWorld(const RepairRequestSpec& spec,
-                                      const embedding::Embedder* embedder) {
-  RequestWorld world;
-  switch (spec.dataset) {
-    case DatasetKind::kMicro: {
-      auto corpus = MakeMicroCorpus(embedder);
-      if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::FeretFaceStyleFn();
-      world.scene = datasets::FeretScene();
-      return world;
-    }
-    case DatasetKind::kFeret: {
-      auto corpus = datasets::MakeFeret(embedder, datasets::FeretOptions());
-      if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::FeretFaceStyleFn();
-      world.scene = datasets::FeretScene();
-      return world;
-    }
-    case DatasetKind::kUtkFace: {
-      // The §6.4.1 challenge subset with payloads: big enough to be a
-      // real repair, small enough for a serving deadline to matter.
-      datasets::ChallengeOptions options;
-      options.render.image_size = 32;
-      auto corpus = datasets::MakeUtkFaceChallengeSubset(embedder, options);
-      if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::UtkFaceStyleFn();
-      world.scene = datasets::UtkFaceScene();
-      return world;
-    }
-  }
-  return util::Status::InvalidArgument("unknown dataset kind");
-}
-
-/// Warm-index handoff between RunRequest and ExecuteRepair (incremental
-/// requests only): `cached` carries a clone of the daemon's cache entry
-/// in; `built` carries a freshly-built base-corpus index back out on a
-/// miss so RunRequest can backfill the cache.
-struct WarmIndexExchange {
-  std::optional<coverage::IncrementalMupIndex> cached;
-  std::optional<coverage::IncrementalMupIndex> built;
-};
-
-/// One request's entire pipeline, built from scratch: simulator, optional
-/// fault injector, resilience decorator, and the repair itself. Nothing
-/// here outlives the call and nothing is shared with any other request —
-/// the structural form of per-request breaker/clock isolation. `warm`
-/// (null unless spec.incremental) is the one deliberate exception, and
-/// even it exchanges clones, never shared state.
+/// One request's pipeline against its dataset's shared world (built by
+/// the first request to need it, see WorldCache): its own simulator,
+/// optional fault injector, resilience decorator, and a private overlay
+/// of the snapshot's corpus to repair. Nothing built here outlives the
+/// call or is shared with another request — the structural form of
+/// per-request breaker/clock isolation. The snapshot is only read: the
+/// overlay copy shares its pixel buffers, and its OCSVM and base MUP
+/// index reach the repair as a shared const model and a private clone.
+/// `index_hit` reports whether an incremental request found its base
+/// index already built.
 util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
+                                               WorldCache* worlds,
                                                fm::Deadline* deadline,
-                                               WarmIndexExchange* warm,
-                                               obs::Observability* obs) {
-  embedding::SimulatedEmbedder embedder;
+                                               obs::Observability* obs,
+                                               bool* index_hit) {
+  auto snapshot = worlds->Get(spec.dataset);
+  if (!snapshot.ok()) return snapshot.status();
+  const WorldSnapshot& world = **snapshot;
   fm::EvaluatorPool evaluators(2024);
-  auto world = BuildWorld(spec, &embedder);
-  if (!world.ok()) return world.status();
-
-  fm::SimulatedFoundationModel sim(world->corpus.dataset.schema(),
-                                   world->style, world->scene,
+  fm::Corpus corpus = world.base();
+  fm::SimulatedFoundationModel sim(corpus.dataset.schema(), world.style(),
+                                   world.scene(),
                                    fm::SimulatedFoundationModel::Options());
   std::unique_ptr<fm::FlakyFoundationModel> flaky;
   fm::FoundationModel* stack = &sim;
@@ -140,29 +59,14 @@ util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
   options.deadline = deadline;
   options.incremental_coverage = spec.incremental;
   options.observability = obs;  // null = telemetry off, zero overhead
-  core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  if (spec.incremental && warm != nullptr) {
-    const data::Dataset& dataset = world->corpus.dataset;
-    if (warm->cached.has_value() && warm->cached->tau() == spec.tau &&
-        warm->cached->num_tuples() ==
-            static_cast<int64_t>(dataset.size()) &&
-        warm->cached->SchemaMatches(dataset.schema())) {
-      system.AdoptIncrementalIndex(*std::move(warm->cached));
-    } else {
-      // Cold (or stale — never trusted): build the base-corpus index
-      // here and hand a pre-repair copy back for the cache, so the next
-      // request with this (dataset, tau) skips the lattice traversal.
-      coverage::IncrementalMupOptions index_options;
-      index_options.tau = spec.tau;
-      index_options.num_threads = spec.num_threads;
-      auto base =
-          coverage::IncrementalMupIndex::FromDataset(dataset, index_options);
-      if (!base.ok()) return base.status();
-      warm->built = *base;
-      system.AdoptIncrementalIndex(*std::move(base));
-    }
+  core::Chameleon system(&resilient, world.embedder(), &evaluators, options);
+  system.AdoptDistributionModel(world.distribution_model());
+  if (spec.incremental) {
+    auto index = world.BaseIndex(spec.tau, spec.num_threads, index_hit);
+    if (!index.ok()) return index.status();
+    system.AdoptIncrementalIndex(*std::move(index));
   }
-  return system.RepairMinLevelMups(&world->corpus);
+  return system.RepairMinLevelMups(&corpus);
 }
 
 }  // namespace
@@ -177,8 +81,13 @@ Daemon::Daemon(Transport* transport, const DaemonOptions& options)
 Daemon::~Daemon() = default;
 
 DaemonStats Daemon::stats() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return stats_;
+  DaemonStats out;
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    out = stats_;
+  }
+  out.world_builds = worlds_.builds();
+  return out;
 }
 
 void Daemon::RequestShutdown() {
@@ -467,27 +376,11 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     });
   }
 
-  // Incremental requests clone the warm (dataset, tau) index if one is
-  // cached; the clone — never the cached instance — is what the repair
-  // mutates, so concurrent requests stay fully isolated.
-  std::optional<WarmIndexExchange> warm;
-  std::string index_key;
   bool warm_hit = false;
-  if (spec.incremental) {
-    warm.emplace();
-    index_key = std::string(DatasetKindName(spec.dataset)) + "/tau=" +
-                std::to_string(spec.tau);
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    auto it = warm_indexes_.find(index_key);
-    if (it != warm_indexes_.end()) {
-      warm->cached = it->second;
-      warm_hit = true;
-    }
-  }
-
   auto report =
-      ExecuteRepair(spec, deadline.get(), warm.has_value() ? &*warm : nullptr,
-                    request_obs.has_value() ? &*request_obs : nullptr);
+      ExecuteRepair(spec, &worlds_, deadline.get(),
+                    request_obs.has_value() ? &*request_obs : nullptr,
+                    &warm_hit);
 
   // The daemon's own virtual clock advances by each request's consumed
   // virtual time, so aggregator windows measure served virtual load.
@@ -504,11 +397,6 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
       aggregator_.AddCounter("daemon.slo.parked_rounds",
                              report->faults.parked_entries(), now_ms);
     }
-  }
-
-  if (warm.has_value() && warm->built.has_value()) {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    warm_indexes_.insert_or_assign(index_key, *std::move(warm->built));
   }
 
   // Journal + respond before releasing the slot: Drain closes the

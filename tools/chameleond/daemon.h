@@ -11,9 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/coverage/incremental_mup.h"
-#include "src/embedding/embedder.h"
-#include "src/fm/corpus.h"
 #include "src/fm/deadline.h"
 #include "src/obs/aggregate.h"
 #include "src/obs/journal.h"
@@ -23,16 +20,9 @@
 #include "src/util/thread_pool.h"
 #include "tools/chameleond/protocol.h"
 #include "tools/chameleond/transport.h"
+#include "tools/chameleond/world_snapshot.h"
 
 namespace chameleon::daemon {
-
-/// The `micro` dataset behind DatasetKind::kMicro: a deliberately small
-/// FERET-schema corpus (Middle Eastern absent entirely, Asian/Hispanic
-/// thin) whose minimum-level repair runs in a fraction of a second.
-/// Exposed so tests and benches can run the identical repair directly
-/// against core::Chameleon and compare digests with daemon runs.
-[[nodiscard]] util::Result<fm::Corpus> MakeMicroCorpus(
-    const embedding::Embedder* embedder);
 
 struct DaemonOptions {
   /// Request-journal path (streamed JSONL, append+flush per event). Empty
@@ -84,6 +74,9 @@ struct DaemonStats {
   /// never reuse a stale frontier.
   int64_t index_warm_hits = 0;
   int64_t index_warm_misses = 0;
+  /// Dataset worlds built (WorldCache): at most one per DatasetKind for a
+  /// daemon's lifetime, however many requests arrive at once.
+  int64_t world_builds = 0;
 };
 
 /// The chameleond server: accepts length-prefixed JSONL frames over a
@@ -145,10 +138,11 @@ class Daemon {
   /// and waits for them to park.
   [[nodiscard]] util::Status Drain();
 
-  /// Worker body: builds the per-request model stack (its own simulator,
-  /// fault injector, resilience decorator, and Deadline — full isolation
-  /// from every other request), runs the repair, journals the outcome,
-  /// and sends the report frame.
+  /// Worker body: takes the dataset's shared world snapshot, builds the
+  /// per-request model stack (its own simulator, fault injector,
+  /// resilience decorator, and Deadline — nothing mutable is shared with
+  /// another request), repairs a private overlay of the snapshot's
+  /// corpus, journals the outcome, and sends the report frame.
   void RunRequest(const RepairRequestSpec& spec,
                   const std::shared_ptr<fm::Deadline>& deadline);
 
@@ -192,15 +186,10 @@ class Daemon {
   std::mutex write_mutex_;
   bool write_failed_ CHAMELEON_GUARDED_BY(write_mutex_) = false;
 
-  /// Warm incremental MUP indexes, one per (dataset, tau) — see
-  /// DESIGN.md §14. Base corpora are rebuilt per request from fixed
-  /// seeds, so an entry stays valid for every request with the same key;
-  /// each request works on its own clone and never mutates the cached
-  /// copy. Guarded separately from state_mutex_ so an index clone never
-  /// stalls admission control.
-  std::mutex index_mutex_;
-  std::map<std::string, coverage::IncrementalMupIndex> warm_indexes_
-      CHAMELEON_GUARDED_BY(index_mutex_);
+  /// Immutable dataset worlds shared by every request (DESIGN.md §13).
+  /// Self-synchronized, independent of state_mutex_, so a world build
+  /// never stalls admission control.
+  WorldCache worlds_;
 
   std::vector<ResumedRequest> resumed_;
 
